@@ -18,7 +18,6 @@ from .geometry import (  # noqa: E402
     load_table,
     parse_word,
     save_table,
-    table_area,
     table_hash,
     tiling_parameters,
     unit_square,
@@ -41,7 +40,6 @@ from .spectral import (  # noqa: E402
     SampledObservable,
     basis_function,
     build_grid,
-    cesaro_gap,
     chi,
     continuous_part,
     correlation,
@@ -66,11 +64,11 @@ __all__ = [
     "CombinatoricsWord", "PointLocation", "TilingCertificate", "VHPolygon",
     "VHTable", "approximate_pq", "build_polygon", "build_table",
     "contains_point", "lshape", "load_table", "parse_word", "save_table",
-    "table_area", "table_hash", "tiling_parameters", "unit_square",
+    "table_hash", "tiling_parameters", "unit_square",
     "DirectionState", "FlowBatch", "OrbitSegmentList", "PhasePoint",
     "UnfoldedFrame", "flow", "next_event", "orbit", "unfold_position",
     "CorrelationSeries", "Observable", "QuadratureGrid", "SampledObservable",
-    "basis_function", "build_grid", "cesaro_gap", "chi", "continuous_part",
+    "basis_function", "build_grid", "chi", "continuous_part",
     "correlation", "correlation_chain_check", "inner",
     "oscillation_bound_check", "restrict", "tile_average",
     "ExperimentConfig", "ThetaSetEstimate", "continuity_probe", "gdelta_demo",

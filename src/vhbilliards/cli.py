@@ -49,6 +49,7 @@ from .spectral import (
 )
 from .lab import (
     ExperimentConfig,
+    check_config_keys,
     continuity_probe,
     gdelta_demo,
     gdelta_summary,
@@ -59,6 +60,9 @@ from .lab import (
 )
 
 _NUMERICAL_ERRORS = (SingularOrbit, EventBudgetExceeded, TooManySingular)
+
+_GDELTA_REQUIRED = ("word", "area_band", "q_list", "j_max", "n_list", "grid_m")
+_GDELTA_OPTIONAL = ("seed", "theta_count", "out_dir")
 
 
 def _fail(err: Exception, code: int) -> int:
@@ -214,6 +218,8 @@ def _cmd_continuity(args) -> int:
 def _cmd_gdelta_demo(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    check_config_keys(cfg, _GDELTA_REQUIRED,
+                      _GDELTA_REQUIRED + _GDELTA_OPTIONAL, "gdelta-demo config")
     report = gdelta_demo(
         cfg["word"],
         (cfg["area_band"][0], cfg["area_band"][1]),

@@ -50,7 +50,6 @@ _STEP = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 #: Tolerance band for classifying float query points against exact boundaries.
 EPS_GEOM = 1e-9
 
-Rational = Fraction
 Point = tuple[Fraction, Fraction]
 
 
@@ -426,11 +425,6 @@ def _validate_holes(outer: VHPolygon,
 def _loop_segments(verts: Sequence[Point]) -> list[tuple[Point, Point]]:
     n = len(verts)
     return [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-
-
-def table_area(table: VHTable) -> Fraction:
-    """Exact area: outer minus holes."""
-    return table.area
 
 
 # ---------------------------------------------------------------------------

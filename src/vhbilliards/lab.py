@@ -19,13 +19,18 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__ as _version
-from .errors import CombinatoricsMismatch, ConfigError
+from .errors import (
+    BilliardError,
+    CombinatoricsMismatch,
+    ConfigError,
+    GeometryError,
+)
 from .geometry import (
     VHTable,
     approximate_pq,
@@ -102,8 +107,28 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        # h_indices defaults to (1,) in files only
+        required = [f.name for f in fields(cls)
+                    if f.default is MISSING and f.name != "h_indices"]
+        check_config_keys(raw, required, [f.name for f in fields(cls)],
+                          "sweep config")
         raw["h_indices"] = tuple(raw.get("h_indices", [1]))
         return cls(**raw)
+
+
+def check_config_keys(raw, required, allowed, what: str) -> None:
+    """Raise ConfigError naming any missing or unknown key of a JSON config.
+
+    A typo in an optional key would otherwise run silently with its default.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise ConfigError(f"missing {what} key(s): {', '.join(missing)}")
 
 
 def stratified_thetas(count: int, seed: int) -> np.ndarray:
@@ -355,7 +380,7 @@ def random_table(rng: np.random.Generator, word=None,
         try:
             w, lens = _random_lengths(chosen, rng)
             outer = build_polygon(w, lens)
-        except Exception:
+        except GeometryError:
             continue
         table = build_table(outer)
         if word is None and rng.random() < hole_probability:
@@ -379,7 +404,7 @@ def _try_add_hole(table: VHTable, rng: np.random.Generator,
         try:
             hole = build_polygon("ENWS", [hw, hh, hw, hh])
             return build_table(table.outer, [(hole, (ax, ay))])
-        except Exception:
+        except GeometryError:
             continue
     return None
 
@@ -487,7 +512,7 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                         perturbed = perturb_length(snapped, 0, d)
                         rep = continuity_probe(snapped, perturbed, probe_theta,
                                                h, window_t, m)
-                    except Exception:
+                    except BilliardError:
                         break
                     if rep.max_delta <= 1.0 / (2.0 * n_gap):
                         eta_emp = float(d)

@@ -9,16 +9,21 @@ idempotent and self-adjoint at the discrete level.
 
 Observables are finite trigonometric sums over the table's bounding box;
 restriction multiplies by the indicator of the (closed) table.
+
+One rule evaluates an observable ``h`` on points: a :class:`SampledObservable`
+yields its stored values, after checking that it belongs to a grid compatible
+with the one being evaluated on (it has no values anywhere else); anything
+else is called as ``h.evaluate(xs, ys, width, height)``.  Bare callables and
+raw arrays are not observables; wrap grid values in a ``SampledObservable``.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -152,7 +157,7 @@ def basis_function(j: int) -> Observable:
 class RestrictedObservable:
     """An observable multiplied by the indicator of the (closed) table."""
 
-    base: "Observable | RestrictedObservable | Callable"
+    base: "Observable | RestrictedObservable | TileAverageObservable"
     table: VHTable
 
     def restrict(self, table: VHTable) -> "RestrictedObservable":
@@ -164,7 +169,7 @@ class RestrictedObservable:
     def evaluate(self, xs, ys, width: float, height: float) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        vals = _evaluate_any(self.base, xs, ys, width, height)
+        vals = self.base.evaluate(xs, ys, width, height)
         return vals * _inside_mask(self.table, xs, ys)
 
 
@@ -228,9 +233,8 @@ class QuadratureGrid:
         return self.m % cert.p == 0 and self.m % cert.q == 0
 
     def evaluate(self, h) -> np.ndarray:
-        """Values of an observable-like object at the grid points."""
-        return _evaluate_any(h, self.xs, self.ys, self.width, self.height,
-                             grid=self)
+        """Values of an observable at the grid points."""
+        return _grid_values(h, self, self.width, self.height)
 
     def tile_classes(self, cert: TilingCertificate) -> tuple[np.ndarray, int]:
         """Congruence class index per grid point under the (1/p, 1/q) lattice."""
@@ -247,25 +251,14 @@ class QuadratureGrid:
         return self._classes[key]
 
 
-def _evaluate_any(h, xs, ys, width, height, grid: QuadratureGrid | None = None):
+def _grid_values(h, grid: QuadratureGrid, width: float,
+                 height: float) -> np.ndarray:
+    """The observable rule (see the module docstring) at the grid points."""
     if isinstance(h, SampledObservable):
-        if grid is None or not h.grid.compatible(grid):
+        if not h.grid.compatible(grid):
             raise GridMismatch("sampled observable belongs to a different grid")
         return h.values
-    if isinstance(h, RestrictedObservable):
-        if grid is not None and h.table == grid.table:
-            # grid points are interior, the indicator is identically 1 there
-            return _evaluate_any(h.base, xs, ys, width, height, grid=grid)
-        return h.evaluate(xs, ys, width, height)
-    if isinstance(h, (Observable, TileAverageObservable)):
-        return h.evaluate(xs, ys, width, height)
-    if isinstance(h, np.ndarray):
-        if grid is None or h.shape != xs.shape:
-            raise GridMismatch("raw arrays must match the grid size")
-        return h
-    if callable(h):
-        return np.asarray(h(xs, ys), dtype=np.float64)
-    raise TypeError(f"cannot evaluate {type(h).__name__} on a grid")
+    return h.evaluate(grid.xs, grid.ys, width, height)
 
 
 def build_grid(table: VHTable, m: int) -> QuadratureGrid:
@@ -446,16 +439,18 @@ class CorrelationSeries:
         return np.cumsum(g) / np.arange(1, g.size + 1)
 
 
-def cesaro_gap(series: CorrelationSeries) -> np.ndarray:
-    """Running averages of the squared correlation gap."""
-    if series.times.size == 0:
-        raise ValueError("empty correlation series")
-    return series.cesaro_squared()
-
-
-def _label_velocities(theta: float) -> list[tuple[float, float]]:
-    c, s = math.cos(theta), math.sin(theta)
-    return [(c, s), (c, -s), (-c, s), (-c, -s)]
+def _direction_batch(grid: QuadratureGrid, thetas: Sequence[float]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """FlowBatch inputs ``(x, y, vx, vy)``: the grid points on each theta's
+    four labels (c, s), (c, -s), (-c, s), (-c, -s), in that order."""
+    ux, uy = [], []
+    for th in thetas:
+        c, s = math.cos(th), math.sin(th)
+        ux += (c, c, -c, -c)
+        uy += (s, -s, s, -s)
+    k = len(ux)
+    return (np.tile(grid.xs, k), np.tile(grid.ys, k),
+            np.repeat(ux, grid.npts), np.repeat(uy, grid.npts))
 
 
 def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], h,
@@ -478,26 +473,17 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], h,
     if sides is None:
         sides = prepare_sides(grid.table)
     width, height = box if box is not None else (grid.width, grid.height)
-    h0 = _evaluate_any(h, grid.xs, grid.ys, width, height, grid=grid)
+    h0 = _grid_values(h, grid, width, height)
 
-    n = grid.npts
-    block = 4 * n
+    block = 4 * grid.npts
     chunk = max(1, BATCH_POINT_LIMIT // block)
     c_out = np.empty((thetas.size, t_grid.size))
     dropped = np.empty(thetas.size)
     for start in range(0, thetas.size, chunk):
         sel = thetas[start:start + chunk]
         nb = sel.size
-        x = np.tile(grid.xs, 4 * nb)
-        y = np.tile(grid.ys, 4 * nb)
-        vx = np.empty(nb * block)
-        vy = np.empty(nb * block)
-        for i, th in enumerate(sel):
-            for l, (ux, uy) in enumerate(_label_velocities(th)):
-                lo = i * block + l * n
-                vx[lo:lo + n] = ux
-                vy[lo:lo + n] = uy
-        batch = FlowBatch(sides, x, y, vx, vy, max_events=budget)
+        batch = FlowBatch(sides, *_direction_batch(grid, sel),
+                          max_events=budget)
         h0_tiled = np.tile(h0, 4 * nb)
         for k, t_k in enumerate(t_grid):
             batch.advance_to(float(t_k))
@@ -507,7 +493,7 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], h,
                 raise TooManySingular(
                     f"dropped quadrature mass {frac.max():.2e} exceeds "
                     f"{max_dropped:.0e}")
-            vals = _evaluate_any(h, batch.x, batch.y, width, height)
+            vals = h.evaluate(batch.x, batch.y, width, height)
             vals = vals * h0_tiled * alive
             sums = vals.reshape(nb, block).sum(axis=1)
             counts = alive.reshape(nb, block).sum(axis=1)
@@ -533,7 +519,7 @@ def correlation(table: VHTable, theta: float, h, t_grid: Sequence[float],
             raise ValueError("pass a QuadratureGrid or a resolution m")
         grid = build_grid(table, m)
     width, height = box if box is not None else (grid.width, grid.height)
-    h0 = _evaluate_any(h, grid.xs, grid.ys, width, height, grid=grid)
+    h0 = _grid_values(h, grid, width, height)
     level = float(np.sum(h0) / grid.npts) ** 2
     norm_sq = float(np.sum(h0 * h0) / grid.npts)
     values, dropped = sweep_correlations(grid, [theta], h, t_grid,
@@ -610,16 +596,9 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
 
     hd_fn = TileAverageObservable(h, table, cert)
 
-    sides = prepare_sides(table)
     n = grid.npts
-    x = np.tile(grid.xs, 4)
-    y = np.tile(grid.ys, 4)
-    vx = np.empty(4 * n)
-    vy = np.empty(4 * n)
-    for l, (ux, uy) in enumerate(_label_velocities(theta)):
-        vx[l * n:(l + 1) * n] = ux
-        vy[l * n:(l + 1) * n] = uy
-    batch = FlowBatch(sides, x, y, vx, vy, max_events=budget)
+    batch = FlowBatch(prepare_sides(table), *_direction_batch(grid, [theta]),
+                      max_events=budget)
     batch.advance_to(float(t))
     alive = ~batch.singular
     count = int(alive.sum())
@@ -762,14 +741,6 @@ def series_summary(series: CorrelationSeries, table: VHTable, h,
         "norm_sq": series.norm_sq,
         "dropped_fraction": series.dropped_fraction,
     }
-
-
-def series_summary_json(series: CorrelationSeries, table: VHTable, h,
-                        grid: QuadratureGrid, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(series_summary(series, table, h, grid), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def series_to_svg(series: CorrelationSeries, path,

@@ -27,5 +27,12 @@ def square_with_hole():
 
 
 @pytest.fixture
+def holed_table():
+    """The README's table: the L-shape with a half-unit square hole."""
+    hole = build_polygon("ENWS", ["1/2", "1/2", "1/2", "1/2"])
+    return build_table(lshape().outer, [(hole, ("5/4", "5/4"))])
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -48,7 +48,6 @@ from vhbilliards.spectral import (
     aligned_m,
     basis_function,
     build_grid,
-    cesaro_gap,
     chi,
     continuous_part,
     correlation,
@@ -75,7 +74,7 @@ def _square_correlation_job(theta: float):
                          grid=grid)
     expected = 0.5 * np.cos(2 * math.pi * t_grid * math.cos(theta))
     err_t50 = float(np.abs(series.values - expected)[:200].max())
-    cesaro_end = float(cesaro_gap(series)[-1])
+    cesaro_end = float(series.cesaro_squared()[-1])
     return err_t50, cesaro_end, series.dropped_fraction
 
 

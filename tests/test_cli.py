@@ -159,6 +159,28 @@ class TestThetaSweepCommand:
         assert err["error"] == "ConfigError"
 
 
+    def test_unknown_key_exits_1(self, square_file, tmp_path, capsys):
+        config = {"table_path": square_file, "count": 4, "seed": 0,
+                  "n_gap": 2, "tau": 5.0, "h_indices": [1], "grid_m": 4,
+                  "wrokers": 2}
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["theta-sweep", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "wrokers" in err["message"]
+
+    def test_missing_key_exits_1(self, square_file, tmp_path, capsys):
+        config = {"table_path": square_file, "count": 4, "seed": 0,
+                  "n_gap": 2, "tau": 5.0, "h_indices": [1]}
+        cfg_path = tmp_path / "short.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["theta-sweep", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "grid_m" in err["message"]
+
+
 class TestContinuityCommand:
     def test_compares_tables(self, lshape_file, tmp_path, capsys):
         from fractions import Fraction
@@ -204,6 +226,19 @@ class TestGDeltaCommand:
         assert out["rows"] == 1
         assert (tmp_path / "gd" / "gdelta.csv").exists()
         assert (tmp_path / "gd" / "gdelta_summary.json").exists()
+
+
+    def test_unknown_key_exits_1(self, tmp_path, capsys):
+        config = {"word": "ENWS", "area_band": [0.5, 30], "q_list": [2],
+                  "j_max": 1, "n_list": [2], "grid_m": 4, "seed": 1,
+                  "theta_cout": 4, "out_dir": str(tmp_path / "gd")}
+        cfg_path = tmp_path / "gd.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["gdelta-demo", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "theta_cout" in err["message"]
+        assert not (tmp_path / "gd").exists()
 
 
 def test_version(capsys):

@@ -6,6 +6,7 @@ straight-line unfolding for mirror compositions.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from vhbilliards.errors import (
     DegenerateDirection,
     EventBudgetExceeded,
     SingularOrbit,
+    StalledState,
 )
 from vhbilliards.geometry import PointLocation, contains_point
 
@@ -109,26 +111,58 @@ class TestNextEvent:
         assert abs(t - t_oracle) < 1e-12
         assert abs(hx - point[0]) < 1e-12 and abs(hy - point[1]) < 1e-12
 
-    def test_random_starts_match_brute_force(self, lshape_table, rng):
-        checked = 0
-        while checked < 100:
-            x = 1.02 + 1.9 * rng.random()
-            y = 1.02 + 1.9 * rng.random()
-            if contains_point(lshape_table, (x, y)) is not PointLocation.INTERIOR:
-                continue
-            theta = 0.05 + 1.4 * rng.random()
-            sx = 1 if rng.random() < 0.5 else -1
-            sy = 1 if rng.random() < 0.5 else -1
-            state = PhasePoint(x, y, DirectionState(theta, sx, sy))
-            vx, vy = state.direction.velocity
-            try:
-                (hx, hy), _, t = next_event(lshape_table, state)
-            except CornerHit:
-                continue
-            t_oracle, point = brute_force_first_hit(lshape_table, x, y, vx, vy)
-            assert abs(t - t_oracle) < 1e-9
-            assert abs(hx - point[0]) < 1e-9 and abs(hy - point[1]) < 1e-9
-            checked += 1
+    def test_random_starts_match_brute_force(self, lshape_table, holed_table,
+                                             rng):
+        # the holed table adds hole sides and more reflex vertices; corner
+        # hits are skipped
+        for table in (lshape_table, holed_table):
+            checked = 0
+            while checked < 100:
+                x = 1.02 + 1.9 * rng.random()
+                y = 1.02 + 1.9 * rng.random()
+                if contains_point(table, (x, y)) is not PointLocation.INTERIOR:
+                    continue
+                theta = 0.05 + 1.4 * rng.random()
+                sx = 1 if rng.random() < 0.5 else -1
+                sy = 1 if rng.random() < 0.5 else -1
+                state = PhasePoint(x, y, DirectionState(theta, sx, sy))
+                vx, vy = state.direction.velocity
+                try:
+                    (hx, hy), _, t = next_event(table, state)
+                except CornerHit:
+                    continue
+                t_oracle, point = brute_force_first_hit(table, x, y, vx, vy)
+                assert abs(t - t_oracle) < 1e-9
+                assert abs(hx - point[0]) < 1e-9 and abs(hy - point[1]) < 1e-9
+                checked += 1
+
+
+class TestStalledState:
+    def test_axis_parallel_velocity(self, square):
+        for velocity in ((1.0, 0.0), (0.0, -1.0)):
+            state = PhasePoint(1.5, 1.5, SimpleNamespace(velocity=velocity))
+            with pytest.raises(StalledState):
+                next_event(square, state)
+
+    @pytest.mark.parametrize("run", [
+        lambda table, state: next_event(table, state),
+        lambda table, state: flow(table, state, 1.0),
+        lambda table, state: orbit(table, state, max_time=1.0),
+    ], ids=["next_event", "flow", "orbit"])
+    def test_outward_start_on_side(self, square, run):
+        # (2, 1.5) lies on the east side; sx = +1 points out of the table
+        state = PhasePoint(2.0, 1.5, DirectionState(0.7))
+        with pytest.raises(StalledState):
+            run(square, state)
+
+    def test_inward_start_on_side_accepted(self, square):
+        state = PhasePoint(2.0, 1.5, DirectionState(0.7, sx=-1))
+        (hx, hy), _, t = next_event(square, state)
+        vx, vy = state.direction.velocity
+        t_oracle, point = brute_force_first_hit(square, 2.0, 1.5, vx, vy)
+        assert abs(t - t_oracle) < 1e-12
+        assert abs(hx - point[0]) < 1e-12 and abs(hy - point[1]) < 1e-12
+        assert flow(square, state, 0.5).x < 2.0
 
 
 class TestFlow:
@@ -396,8 +430,10 @@ class TestMeasurePreservation:
 
 class TestExports:
     def test_csv_columns_and_rows(self, square, tmp_path):
-        hist = orbit(square, PhasePoint(1.5, 1.25, DirectionState(1.0)),
-                     max_time=3.0)
+        # numpy scalars as the start must still give plain float fields
+        start = PhasePoint(np.float64(1.5), np.float64(1.25),
+                           DirectionState(1.0))
+        hist = orbit(square, start, max_time=3.0)
         path = tmp_path / "orbit.csv"
         orbit_to_csv(hist, path)
         lines = path.read_text().strip().splitlines()
@@ -405,6 +441,8 @@ class TestExports:
         assert len(lines) == len(hist.events) + 3
         first = lines[1].split(",")
         assert first[-1] == "-1"
+        for line in lines[1:]:
+            t, x, y = (float(v) for v in line.split(",")[:3])
 
     def test_svg_written(self, lshape_table, tmp_path):
         hist = orbit(lshape_table, PhasePoint(1.5, 1.5, DirectionState(1.0)),

@@ -35,7 +35,6 @@ from vhbilliards.geometry import (
     lshape,
     parse_word,
     save_table,
-    table_area,
     table_from_dict,
     table_to_dict,
     tile_anchors,
@@ -220,13 +219,13 @@ class TestBuildPolygon:
 
 class TestTableArea:
     def test_unit_square(self, square):
-        assert table_area(square) == 1
+        assert square.area == 1
 
     def test_lshape(self, lshape_table):
-        assert table_area(lshape_table) == 3
+        assert lshape_table.area == 3
 
     def test_square_with_centered_hole(self, square_with_hole):
-        assert table_area(square_with_hole) == Fraction(3, 4)
+        assert square_with_hole.area == Fraction(3, 4)
 
     def test_hole_outside_interior_rejected(self):
         hole = build_polygon("ENWS", [1, 1, 1, 1])
@@ -414,5 +413,5 @@ class TestSerialization:
 
 
 def test_stock_tables():
-    assert table_area(unit_square()) == 1
-    assert table_area(lshape()) == 3
+    assert unit_square().area == 1
+    assert lshape().area == 3

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vhbilliards import lab
 from vhbilliards.errors import CombinatoricsMismatch, ConfigError
 from vhbilliards.geometry import (
     lshape,
@@ -210,6 +211,18 @@ class TestGDeltaDemo:
         assert row.measure == 1.0
         assert row.target_met
         assert row.eta_capped
+
+    def test_probe_bug_propagates(self, monkeypatch):
+        # only package errors end the stability ladder; anything else is a
+        # bug and must not turn into a smaller eta_emp
+        def broken_probe(*args, **kwargs):
+            raise RuntimeError("bug inside the continuity probe")
+
+        monkeypatch.setattr(lab, "continuity_probe", broken_probe)
+        with pytest.raises(RuntimeError, match="bug inside"):
+            gdelta_demo("ENWS", (Fraction(1, 2), Fraction(30)),
+                        q_list=[2], j_max=1, n_list=[2], m=4,
+                        seed=1, theta_count=4, tau_factor=4)
 
     def test_empty_q_list_rejected(self):
         with pytest.raises(ConfigError):

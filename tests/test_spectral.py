@@ -22,11 +22,11 @@ from vhbilliards.geometry import (
 )
 from vhbilliards.spectral import (
     Observable,
+    SampledObservable,
     TileAverageObservable,
     aligned_m,
     basis_function,
     build_grid,
-    cesaro_gap,
     chi,
     continuous_part,
     correlation,
@@ -171,7 +171,8 @@ class TestTileAverage:
 
     def test_linear_function_on_quartered_square(self, square_grid):
         cert = tiling_parameters(square_grid.table).refined(2)
-        hd = tile_average(lambda xs, ys: xs, cert, square_grid)
+        hd = tile_average(SampledObservable(square_grid, square_grid.xs), cert,
+                          square_grid)
         u = (square_grid.xs - 1.0) % 0.5
         np.testing.assert_allclose(hd.values, 1.25 + u, atol=1e-13)
 
@@ -387,12 +388,12 @@ class TestCesaro:
     def test_zero_gap(self, square_grid):
         s = correlation(unit_square(), 0.9, Observable.constant(1.0),
                         np.array([1.0, 2.0, 3.0]), grid=square_grid)
-        np.testing.assert_allclose(cesaro_gap(s), 0.0, atol=1e-24)
+        np.testing.assert_allclose(s.cesaro_squared(), 0.0, atol=1e-24)
 
     def test_single_entry(self, square_grid):
         s = correlation(unit_square(), 0.9, Observable.cosine(1, 0),
                         np.array([1.0]), grid=square_grid)
-        assert cesaro_gap(s)[0] == s.gap[0] ** 2
+        assert s.cesaro_squared()[0] == s.gap[0] ** 2
 
     def test_square_table_limit_one_eighth(self):
         # closed-form series: gap(t) = |cos(2 pi t cos(theta))| / 2
@@ -403,7 +404,7 @@ class TestCesaro:
             times=t,
             values=0.5 * np.cos(2 * math.pi * t * math.cos(theta)),
             level=0.0, norm_sq=0.5, dropped_fraction=0.0)
-        assert abs(cesaro_gap(series)[-1] - 0.125) < 0.01
+        assert abs(series.cesaro_squared()[-1] - 0.125) < 0.01
 
 
 class TestExports:
