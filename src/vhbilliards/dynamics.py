@@ -293,8 +293,9 @@ def next_event(table: VHTable | SideTable,
     return hit, best_side, best_t
 
 
-@dataclass
+@dataclass(slots=True)
 class OrbitEvent:
+    # slots: long orbits hold one record per collision
     time: float
     x: float
     y: float
@@ -305,14 +306,22 @@ class OrbitEvent:
 
 @dataclass
 class OrbitSegmentList:
-    """Straight orbit segments between recorded collisions."""
+    """Straight orbit segments between recorded collisions.
 
-    table: VHTable
+    ``sides`` is the boundary view the orbit was computed on; the exports read
+    side axes and vertices from it.
+    """
+
+    sides: SideTable
     initial: PhasePoint
     events: list[OrbitEvent] = field(default_factory=list)
     final: PhasePoint | None = None
     total_time: float = 0.0
     terminated: str | None = None   # None | "singular" | "budget"
+
+    @property
+    def table(self) -> VHTable:
+        return self.sides.table
 
     @property
     def singular(self) -> bool:
@@ -337,8 +346,7 @@ def orbit(table: VHTable | SideTable, state: PhasePoint,
     if max_time <= 0 and max_events <= 0:
         raise ValueError("need a positive time or event budget")
     sides = table if isinstance(table, SideTable) else prepare_sides(table)
-    tab = sides.table
-    rec = OrbitSegmentList(table=tab, initial=state)
+    rec = OrbitSegmentList(sides=sides, initial=state)
     if max_events <= 0:
         rec.final = state
         return rec
@@ -367,7 +375,6 @@ def _advance(sides: SideTable, state: PhasePoint, t: float,
         remaining = t - elapsed
         if remaining <= 0:
             break
-        vx, vy = d.velocity
         vertex = None
         try:
             hit, s, dt = next_event(sides, PhasePoint(x, y, d))
@@ -378,6 +385,7 @@ def _advance(sides: SideTable, state: PhasePoint, t: float,
             hit, s, dt = corner.point, -1, corner.time
             vertex = corner.vertex
         if dt > remaining:
+            vx, vy = d.velocity
             x += vx * remaining
             y += vy * remaining
             break
@@ -411,7 +419,7 @@ def unfold_position(history: OrbitSegmentList) -> list[tuple[tuple[float, float]
     the returned points are collinear (the whole unfolded path is one line).
     Entry k carries the frame in effect when the path arrives at point k.
     """
-    sides = prepare_sides(history.table)
+    sides = history.sides
     # isometry z -> (sx*z_x + tx, sy*z_y + ty), composed right-to-left
     sx, sy = 1, 1
     tx, ty = 0.0, 0.0
@@ -518,11 +526,12 @@ class FlowBatch:
                 break
             idx = np.where(pending)[0]
             self._process_events(idx)
-        live = ~self.singular
-        dt = t_target - self.t[live]
-        self.x[live] += self.vx[live] * dt
-        self.y[live] += self.vy[live] * dt
-        self.t[live] = t_target
+        # full-array moves: frozen points take a zero step, and the time is
+        # assigned rather than accumulated, since t + (T - t) may not be T
+        dt = np.where(self.singular, 0.0, t_target - self.t)
+        self.x += self.vx * dt
+        self.y += self.vy * dt
+        self.t = np.where(self.singular, self.t, t_target)
 
     def _process_events(self, idx: np.ndarray) -> None:
         s = self.sides
@@ -573,7 +582,7 @@ def orbit_to_csv(history: OrbitSegmentList, path) -> None:
     Numbers are written as the shortest round-tripping float repr, whatever
     float type the orbit carries.
     """
-    sides = prepare_sides(history.table)
+    sides = history.sides
 
     def num(v) -> str:
         return repr(float(v))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -77,6 +78,17 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("count", "seed", "n_gap", "grid_m", "workers"):
+            _check_int(name, getattr(self, name))
+        _check_real("tau", self.tau)
+        if self.step is not None:
+            _check_real("step", self.step)
+            if self.step <= 0:
+                raise ConfigError("step must be positive")
+        if not isinstance(self.h_indices, tuple):
+            raise ConfigError("h_indices must be a list of integers")
+        for j in self.h_indices:
+            _check_int("h_indices", j)
         if self.count <= 0:
             raise ConfigError("theta sample count must be positive")
         if self.n_gap <= 0:
@@ -112,8 +124,23 @@ class ExperimentConfig:
                     if f.default is MISSING and f.name != "h_indices"]
         check_config_keys(raw, required, [f.name for f in fields(cls)],
                           "sweep config")
-        raw["h_indices"] = tuple(raw.get("h_indices", [1]))
+        h_indices = raw.get("h_indices", [1])
+        if not isinstance(h_indices, list):
+            raise ConfigError("h_indices must be a list of integers")
+        raw["h_indices"] = tuple(h_indices)
         return cls(**raw)
+
+
+def _check_int(name: str, value) -> None:
+    # bool is an int subclass, but true/false in a config is a typo
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
 def check_config_keys(raw, required, allowed, what: str) -> None:
@@ -168,43 +195,43 @@ class ThetaSetEstimate:
 
 
 def _sweep_job(args) -> tuple[np.ndarray, np.ndarray]:
-    table, m, thetas, h, t_grid = args
+    table, m, thetas, hs, t_grid = args
     grid = build_grid(table, m)
-    return sweep_correlations(grid, thetas, h, t_grid)
+    return sweep_correlations(grid, thetas, hs, t_grid)
 
 
 def theta_sweep(config: ExperimentConfig,
                 table: VHTable | None = None) -> list[ThetaSetEstimate]:
     """Run the direction sweep; one estimate per configured basis index.
 
-    Deterministic given the seed: the theta sample, the time grid and every
-    reduction order are fixed, independently of ``workers``.
+    All basis indices share one flow per chunk of directions (see
+    :func:`sweep_correlations`).  Deterministic given the seed: the theta
+    sample, the time grid and every reduction order are fixed, independently
+    of ``workers``.
     """
     if table is None:
         table = load_table(config.table_path)
     thetas = stratified_thetas(config.count, config.seed)
     t_grid = config.time_grid()
     grid = build_grid(table, config.grid_m)
+    hs = [basis_function(j) for j in config.h_indices]
+
+    if config.workers == 1 or config.count == 1:
+        values, dropped = sweep_correlations(grid, thetas, hs, t_grid)
+    else:
+        blocks = np.array_split(np.arange(config.count),
+                                min(config.workers, config.count))
+        jobs = [(table, config.grid_m, thetas[b], hs, t_grid)
+                for b in blocks if b.size]
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            parts = list(pool.map(_sweep_job, jobs))
+        values = np.concatenate([p[0] for p in parts], axis=1)
+        dropped = np.concatenate([p[1] for p in parts])
 
     out = []
-    for j in config.h_indices:
-        h = basis_function(j)
-        h0 = grid.evaluate(h)
-        level = float(np.sum(h0) / grid.npts) ** 2
-
-        if config.workers == 1 or config.count == 1:
-            values, dropped = sweep_correlations(grid, thetas, h, t_grid)
-        else:
-            blocks = np.array_split(np.arange(config.count),
-                                    min(config.workers, config.count))
-            jobs = [(table, config.grid_m, thetas[b], h, t_grid)
-                    for b in blocks if b.size]
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                parts = list(pool.map(_sweep_job, jobs))
-            values = np.concatenate([p[0] for p in parts], axis=0)
-            dropped = np.concatenate([p[1] for p in parts])
-
-        gaps = np.abs(values - level)
+    for j, h, c in zip(config.h_indices, hs, values):
+        level = float(np.sum(grid.evaluate(h)) / grid.npts) ** 2
+        gaps = np.abs(c - level)
         min_idx = np.argmin(gaps, axis=1)
         min_gap = gaps[np.arange(config.count), min_idx]
         below = gaps < 1.0 / config.n_gap
@@ -312,17 +339,26 @@ def continuity_probe(table_a: VHTable, table_b: VHTable, theta: float,
     tables, so only the table varies between the two runs.
     """
     _check_same_combinatorics(table_a, table_b)
+    series_a = correlation(table_a, theta, h, t_list, m=m)
+    return _probe_against(series_a, table_a, table_b, theta, h, m)
+
+
+def _probe_against(series_a, table_a: VHTable, table_b: VHTable,
+                   theta: float, h, m: int) -> ContinuityReport:
+    """Continuity report of table_b against ``series_a``, the correlation of
+    the same observable on table_a at its own resolution-m grid.
+
+    Callers probing many tables against one table_a compute series_a once.
+    """
     d = _parameter_distance(table_a, table_b)
-    t_arr = np.asarray(t_list, dtype=np.float64)
-    grid_a = build_grid(table_a, m)
-    box = (grid_a.width, grid_a.height)
-    series_a = correlation(table_a, theta, h, t_arr, grid=grid_a, box=box)
-    series_b = correlation(table_b, theta, h, t_arr, m=m, box=box)
+    (x0, y0), (x1, y1) = table_a.bbox
+    box = (float(x1 - x0), float(y1 - y0))
+    series_b = correlation(table_b, theta, h, series_a.times, m=m, box=box)
     delta = np.abs(series_a.values - series_b.values)
     max_delta = float(delta.max()) if delta.size else 0.0
     ratio = max_delta / float(d) if d > 0 else 0.0
-    return ContinuityReport(distance=float(d), times=t_arr, delta_c=delta,
-                            max_delta=max_delta, ratio=ratio)
+    return ContinuityReport(distance=float(d), times=series_a.times,
+                            delta_c=delta, max_delta=max_delta, ratio=ratio)
 
 
 def perturb_length(table: VHTable, index: int, delta) -> VHTable:
@@ -507,18 +543,22 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                 eta_capped = False
                 max_delta_at_eta = math.nan
                 h = basis_function(j)
-                for d in sorted(d_ladder):
-                    try:
-                        perturbed = perturb_length(snapped, 0, d)
-                        rep = continuity_probe(snapped, perturbed, probe_theta,
-                                               h, window_t, m)
-                    except BilliardError:
-                        break
-                    if rep.max_delta <= 1.0 / (2.0 * n_gap):
-                        eta_emp = float(d)
-                        max_delta_at_eta = rep.max_delta
-                    else:
-                        break
+                # the unperturbed series is shared by every rung; a package
+                # error on any step ends the ladder at the last stable rung
+                try:
+                    series_a = correlation(snapped, probe_theta, h, window_t,
+                                           m=m)
+                    for d in sorted(d_ladder):
+                        rep = _probe_against(series_a, snapped,
+                                             perturb_length(snapped, 0, d),
+                                             probe_theta, h, m)
+                        if rep.max_delta <= 1.0 / (2.0 * n_gap):
+                            eta_emp = float(d)
+                            max_delta_at_eta = rep.max_delta
+                        else:
+                            break
+                except BilliardError:
+                    pass
                 if eta_emp == float(max(d_ladder)):
                     eta_capped = True
 

@@ -453,18 +453,24 @@ def _direction_batch(grid: QuadratureGrid, thetas: Sequence[float]
             np.repeat(ux, grid.npts), np.repeat(uy, grid.npts))
 
 
-def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], h,
+def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
                        t_grid: Sequence[float],
                        budget: int = MAX_EVENTS,
                        box: tuple[float, float] | None = None,
                        sides: SideTable | None = None,
                        max_dropped: float = MAX_DROPPED_FRACTION,
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Correlation values C(theta_i, t_k) for a batch of directions.
+    """Correlation values C_j(theta_i, t_k) for a stack of observables ``hs``
+    and a batch of directions.
 
-    Every direction is advanced through the same increasing time grid; the
-    per-direction reduction order is fixed, so the output does not depend on
-    how directions are chunked across workers.
+    Returns ``(values, dropped)``: ``values`` has shape
+    ``(len(hs), len(thetas), len(t_grid))`` and ``dropped`` holds the final
+    dropped mass of each direction.  The flow does not depend on the
+    observable, so one flow serves them all: each chunk of directions is
+    advanced once through the increasing time grid and every observable is
+    read off it at each time.  The per-direction reduction order is fixed, so
+    the output does not depend on how directions are chunked across workers
+    or on which other observables share the flow.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     t_grid = np.asarray(t_grid, dtype=np.float64)
@@ -473,31 +479,35 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], h,
     if sides is None:
         sides = prepare_sides(grid.table)
     width, height = box if box is not None else (grid.width, grid.height)
-    h0 = _grid_values(h, grid, width, height)
+    hs = list(hs)
+    h0s = [_grid_values(h, grid, width, height) for h in hs]
 
-    block = 4 * grid.npts
+    npts = grid.npts
+    block = 4 * npts
     chunk = max(1, BATCH_POINT_LIMIT // block)
-    c_out = np.empty((thetas.size, t_grid.size))
+    c_out = np.empty((len(hs), thetas.size, t_grid.size))
     dropped = np.empty(thetas.size)
     for start in range(0, thetas.size, chunk):
         sel = thetas[start:start + chunk]
         nb = sel.size
         batch = FlowBatch(sides, *_direction_batch(grid, sel),
                           max_events=budget)
-        h0_tiled = np.tile(h0, 4 * nb)
         for k, t_k in enumerate(t_grid):
             batch.advance_to(float(t_k))
             alive = ~batch.singular
-            frac = 1.0 - (alive.reshape(nb, block).sum(axis=1) / block)
+            counts = alive.reshape(nb, block).sum(axis=1)
+            frac = 1.0 - counts / block
             if np.any(frac > max_dropped):
                 raise TooManySingular(
                     f"dropped quadrature mass {frac.max():.2e} exceeds "
                     f"{max_dropped:.0e}")
-            vals = h.evaluate(batch.x, batch.y, width, height)
-            vals = vals * h0_tiled * alive
-            sums = vals.reshape(nb, block).sum(axis=1)
-            counts = alive.reshape(nb, block).sum(axis=1)
-            c_out[start:start + nb, k] = sums / counts
+            # one row per (direction, label): h0 broadcasts along the rows
+            alive_rows = alive.reshape(4 * nb, npts)
+            for j, (h, h0) in enumerate(zip(hs, h0s)):
+                vals = h.evaluate(batch.x, batch.y, width, height)
+                vals = vals.reshape(4 * nb, npts) * h0 * alive_rows
+                sums = vals.reshape(nb, block).sum(axis=1)
+                c_out[j, start:start + nb, k] = sums / counts
         alive = ~batch.singular
         dropped[start:start + nb] = 1.0 - (
             alive.reshape(nb, block).sum(axis=1) / block)
@@ -522,11 +532,11 @@ def correlation(table: VHTable, theta: float, h, t_grid: Sequence[float],
     h0 = _grid_values(h, grid, width, height)
     level = float(np.sum(h0) / grid.npts) ** 2
     norm_sq = float(np.sum(h0 * h0) / grid.npts)
-    values, dropped = sweep_correlations(grid, [theta], h, t_grid,
+    values, dropped = sweep_correlations(grid, [theta], [h], t_grid,
                                          budget=budget, box=box)
     return CorrelationSeries(
         times=np.asarray(t_grid, dtype=np.float64),
-        values=values[0],
+        values=values[0, 0],
         level=level,
         norm_sq=norm_sq,
         dropped_fraction=float(dropped[0]),

@@ -158,6 +158,24 @@ class TestThetaSweepCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("field, value", [
+        ("count", "4"), ("seed", 1.5), ("workers", True), ("tau", "12"),
+        ("step", "0.05"), ("h_indices", 3), ("h_indices", [2.0]),
+    ])
+    def test_mistyped_value_exits_1(self, square_file, tmp_path, capsys,
+                                    field, value):
+        # a wrongly typed JSON value is a config error naming the field, not
+        # a TypeError from deep inside the sweep
+        config = {"table_path": square_file, "count": 4, "seed": 0,
+                  "n_gap": 4, "tau": 12.0, "h_indices": [1], "grid_m": 4,
+                  "out_dir": str(tmp_path / "out")}
+        config[field] = value
+        cfg_path = tmp_path / "typed.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["theta-sweep", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert field in err["message"]
 
     def test_unknown_key_exits_1(self, square_file, tmp_path, capsys):
         config = {"table_path": square_file, "count": 4, "seed": 0,

@@ -383,6 +383,28 @@ class TestFlowBatch:
         batch.advance_to(3.0)
         assert batch.singular[0]
 
+    def test_frozen_points_stay_put(self, lshape_table):
+        # a point frozen at the reflex corner keeps x, y and t bit for bit
+        # while the live point is moved to each target time exactly
+        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+        batch = FlowBatch(lshape_table, np.array([1.9, 1.2]),
+                          np.array([1.9, 1.1]), np.array([c, math.cos(0.3)]),
+                          np.array([s, math.sin(0.3)]))
+        batch.advance_to(0.2)
+        assert batch.singular.tolist() == [True, False]
+
+        def frozen_bits():
+            return np.array([batch.x[0], batch.y[0], batch.t[0]]).tobytes()
+
+        frozen = frozen_bits()
+        # no event hits the live point before t = 1.8, and 0.2 + (0.85 - 0.2)
+        # is not 0.85 in binary64
+        for target in (0.85, 7.7, 10.3, 10.3, 19.9):
+            batch.advance_to(target)
+            assert frozen_bits() == frozen
+            assert not batch.singular[1]
+            assert batch.t[1] == target
+
     def test_budget(self, square):
         batch = FlowBatch(square, np.array([1.5]), np.array([1.5]),
                           np.array([math.cos(1.0)]), np.array([math.sin(1.0)]),

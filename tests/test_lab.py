@@ -1,7 +1,9 @@
 """Experiment-driver tests: sweeps, continuity probes, genericity demo."""
 
 import hashlib
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +108,32 @@ class TestThetaSweep:
                                n_gap=4, tau=10.0, h_indices=(1, 6), grid_m=4)
         ests = theta_sweep(cfg)
         assert [e.h_index for e in ests] == [1, 6]
+
+    def test_stacked_indices_match_single_sweeps(self, tmp_path):
+        # all h_indices share one flow; the outputs must not show it, for
+        # any worker count
+        table = lshape()
+        outputs = set()
+        for workers in (1, 2):
+            cfg = ExperimentConfig(table_path="<in-memory>", count=6, seed=7,
+                                   n_gap=3, tau=8.0, h_indices=(2, 4, 6),
+                                   grid_m=8, workers=workers)
+            ests = theta_sweep(cfg, table=table)
+            csv_path = tmp_path / f"sweep_{workers}.csv"
+            sweep_to_csv(ests, csv_path)
+            summary = json.dumps(sweep_summary(cfg, table, ests),
+                                 sort_keys=True)
+            outputs.add((csv_path.read_bytes(), summary))
+        assert len(outputs) == 1
+        for est in ests:
+            single_cfg = replace(cfg, h_indices=(est.h_index,), workers=1)
+            single = theta_sweep(single_cfg, table=table)
+            sweep_to_csv([est], tmp_path / "stacked.csv")
+            sweep_to_csv(single, tmp_path / "single.csv")
+            assert (tmp_path / "stacked.csv").read_bytes() \
+                == (tmp_path / "single.csv").read_bytes()
+            assert sweep_summary(cfg, table, [est])["estimates"] \
+                == sweep_summary(single_cfg, table, single)["estimates"]
 
     def test_workers_give_identical_bytes(self, square_file, tmp_path):
         digests = []
@@ -218,7 +246,7 @@ class TestGDeltaDemo:
         def broken_probe(*args, **kwargs):
             raise RuntimeError("bug inside the continuity probe")
 
-        monkeypatch.setattr(lab, "continuity_probe", broken_probe)
+        monkeypatch.setattr(lab, "_probe_against", broken_probe)
         with pytest.raises(RuntimeError, match="bug inside"):
             gdelta_demo("ENWS", (Fraction(1, 2), Fraction(30)),
                         q_list=[2], j_max=1, n_list=[2], m=4,

@@ -291,17 +291,40 @@ class TestCorrelation:
             correlation(unit_square(), 1.0, Observable.cosine(1, 0),
                         np.array([2.0, 1.0]), grid=square_grid)
 
+    @pytest.mark.parametrize("table_fixture", ["lshape_table", "holed_table"])
+    def test_observable_stack_matches_single_calls(self, request, monkeypatch,
+                                                   table_fixture):
+        # one flow serves the whole stack; each row must equal the flow of
+        # its observable alone, whether or not directions share a batch
+        import vhbilliards.spectral as spectral
+
+        grid = build_grid(request.getfixturevalue(table_fixture), 8)
+        thetas = [0.4, 0.9, 1.3]
+        t_grid = 0.25 * np.arange(1, 41)
+        hs = [basis_function(j) for j in (1, 2, 5, 6)]
+        singles = [sweep_correlations(grid, thetas, [h], t_grid) for h in hs]
+        single_values = np.concatenate([v for v, _ in singles])
+        for chunked in (False, True):
+            if chunked:
+                monkeypatch.setattr(spectral, "BATCH_POINT_LIMIT",
+                                    4 * grid.npts)  # one theta per chunk
+            values, dropped = sweep_correlations(grid, thetas, hs, t_grid)
+            assert values.shape == (len(hs), len(thetas), t_grid.size)
+            assert np.array_equal(values, single_values)
+            for _, single_dropped in singles:
+                assert np.array_equal(dropped, single_dropped)
+
     def test_sweep_rows_independent_of_batching(self, square_grid):
         import vhbilliards.spectral as spectral
 
         thetas = [0.6, 0.9, 1.2]
         t_grid = 0.5 * np.arange(1, 21)
         h = Observable.cosine(1, 0)
-        full, _ = sweep_correlations(square_grid, thetas, h, t_grid)
+        full, _ = sweep_correlations(square_grid, thetas, [h], t_grid)
         old = spectral.BATCH_POINT_LIMIT
         try:
             spectral.BATCH_POINT_LIMIT = 4 * square_grid.npts  # one theta/chunk
-            split, _ = sweep_correlations(square_grid, thetas, h, t_grid)
+            split, _ = sweep_correlations(square_grid, thetas, [h], t_grid)
         finally:
             spectral.BATCH_POINT_LIMIT = old
         assert np.array_equal(full, split)
