@@ -15,13 +15,17 @@ Events are found on two paths that share this policy and ``EPS_CORNER``:
 
 * :func:`next_event` serves one point (:func:`flow`, :func:`orbit`).  It makes
   a single pass over Python-float side rows that both rejects stalled starts
-  and finds the earliest hit.
+  and finds the earliest hit; a corner hit comes back as data (the vertex
+  index), and the caller reads the vertex's convexity off the side view.
 * :class:`FlowBatch` serves arrays of points (the correlation sweeps) with a
   numpy kernel whose fixed cost per call dominates on a single point.
 
 On the holed table of the README (2-vCPU Xeon, Python 3.11, numpy 2.4) the
 scalar loop takes about 8 us per event and ``FlowBatch`` fed one point about
 120 us, so single orbits keep their own path.
+
+Both paths read the table through its :class:`SideTable`, which
+:func:`sides_of` builds once per table and keeps on it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    CornerHit,
     DegenerateDirection,
     EventBudgetExceeded,
     SingularOrbit,
@@ -235,26 +238,44 @@ def prepare_sides(table: VHTable) -> SideTable:
     )
 
 
+def sides_of(table: VHTable | SideTable) -> SideTable:
+    """The boundary view of a table, built once and kept on the table.
+
+    Every flow entry point takes a ``VHTable`` or a ``SideTable`` and comes
+    through here.  The view is stored on the (frozen) table instance, so it
+    lives and dies with the table; equal tables built separately each get
+    their own.
+    """
+    if isinstance(table, SideTable):
+        return table
+    sides = table.__dict__.get("_sides")
+    if sides is None:
+        sides = prepare_sides(table)
+        object.__setattr__(table, "_sides", sides)
+    return sides
+
+
 # ---------------------------------------------------------------------------
 # scalar event loop
 # ---------------------------------------------------------------------------
 
-def next_event(table: VHTable | SideTable,
-               state: PhasePoint) -> tuple[tuple[float, float], int, float]:
+def next_event(table: VHTable | SideTable, state: PhasePoint
+               ) -> tuple[tuple[float, float], int, float, int | None]:
     """Earliest boundary hit of the ray from ``state``.
 
-    Returns ``((x, y), side_id, time)`` with the hit re-projected onto the
-    exact side line.  Raises :class:`CornerHit` when the hit lands within
-    ``EPS_CORNER`` of a vertex (the exception carries the vertex and its
-    convexity) and :class:`StalledState` for an axis-parallel velocity or a
-    start on a side with outward velocity.
+    Returns ``((x, y), side_id, time, vertex)``.  ``vertex`` is ``None`` for
+    a plain hit, re-projected onto the exact side line; when the hit lands
+    within ``EPS_CORNER`` of a vertex it is that vertex's index (its
+    convexity is ``vertex_convex[vertex]`` of the table's side view) and the
+    hit point is the vertex itself.  Raises :class:`StalledState` for an
+    axis-parallel velocity or a start on a side with outward velocity.
 
     One pass over the sides does both jobs: the stalled-start test and the
     earliest strictly-positive hit.  A point sitting exactly on a side line
     gets t = 0 there and skips it, which makes restarting from a collision
     well defined.
     """
-    sides = table if isinstance(table, SideTable) else prepare_sides(table)
+    sides = sides_of(table)
     vx, vy = state.direction.velocity
     if vx == 0.0 or vy == 0.0:
         raise StalledState("velocity is axis-parallel; direction class "
@@ -280,17 +301,15 @@ def next_event(table: VHTable | SideTable,
     if best_side < 0:
         raise SingularOrbit("ray found no boundary ahead; state is outside "
                             "the table or numerically lost")
-    a, _, c, _, _, _ = sides.rows[best_side]
-    hit = (c, best_cross) if a == 0 else (best_cross, c)
     for vert, end in ((sides.lo_vertex[best_side], sides.lo[best_side]),
                       (sides.hi_vertex[best_side], sides.hi[best_side])):
         if abs(best_cross - end) <= EPS_CORNER:
-            raise CornerHit(vertex=int(vert),
-                            point=(float(sides.vertex_x[vert]),
-                                   float(sides.vertex_y[vert])),
-                            time=best_t,
-                            convex=bool(sides.vertex_convex[vert]))
-    return hit, best_side, best_t
+            vert = int(vert)
+            return ((float(sides.vertex_x[vert]), float(sides.vertex_y[vert])),
+                    best_side, best_t, vert)
+    a, _, c, _, _, _ = sides.rows[best_side]
+    hit = (c, best_cross) if a == 0 else (best_cross, c)
+    return hit, best_side, best_t, None
 
 
 @dataclass(slots=True)
@@ -333,8 +352,7 @@ def flow(table: VHTable | SideTable, state: PhasePoint, t: float,
     """Advance a phase point by total time ``t`` through its reflections."""
     if t < 0:
         raise ValueError("flow time must be nonnegative")
-    sides = table if isinstance(table, SideTable) else prepare_sides(table)
-    return _advance(sides, state, t, max_events, record=None)
+    return _advance(sides_of(table), state, t, max_events, record=None)
 
 
 def orbit(table: VHTable | SideTable, state: PhasePoint,
@@ -345,7 +363,7 @@ def orbit(table: VHTable | SideTable, state: PhasePoint,
     """
     if max_time <= 0 and max_events <= 0:
         raise ValueError("need a positive time or event budget")
-    sides = table if isinstance(table, SideTable) else prepare_sides(table)
+    sides = sides_of(table)
     rec = OrbitSegmentList(sides=sides, initial=state)
     if max_events <= 0:
         rec.final = state
@@ -375,15 +393,10 @@ def _advance(sides: SideTable, state: PhasePoint, t: float,
         remaining = t - elapsed
         if remaining <= 0:
             break
-        vertex = None
-        try:
-            hit, s, dt = next_event(sides, PhasePoint(x, y, d))
-        except CornerHit as corner:
-            if not corner.convex and corner.time <= remaining:
-                raise SingularOrbit(
-                    f"orbit reaches reflex vertex {corner.vertex}") from corner
-            hit, s, dt = corner.point, -1, corner.time
-            vertex = corner.vertex
+        hit, s, dt, vertex = next_event(sides, PhasePoint(x, y, d))
+        if (vertex is not None and not sides.vertex_convex[vertex]
+                and dt <= remaining):
+            raise SingularOrbit(f"orbit reaches reflex vertex {vertex}")
         if dt > remaining:
             vx, vy = d.velocity
             x += vx * remaining
@@ -392,6 +405,7 @@ def _advance(sides: SideTable, state: PhasePoint, t: float,
         x, y = hit
         if vertex is not None:
             d = d.flip_both()
+            s = -1
         elif sides.rows[s][0] == 0:
             d = d.flip_x()
         else:
@@ -466,7 +480,7 @@ class FlowBatch:
                  x: np.ndarray, y: np.ndarray,
                  vx: np.ndarray, vy: np.ndarray,
                  max_events: int = MAX_EVENTS):
-        self.sides = table if isinstance(table, SideTable) else prepare_sides(table)
+        self.sides = sides_of(table)
         self.x = np.array(x, dtype=np.float64)
         self.y = np.array(y, dtype=np.float64)
         self.vx = np.array(vx, dtype=np.float64)

@@ -72,22 +72,6 @@ class DegenerateDirection(DynamicsError):
     """Direction angle outside the open interval (0, pi/2)."""
 
 
-class CornerHit(DynamicsError):
-    """A ray meets a vertex within the corner tolerance.
-
-    Carries ``vertex`` (index), ``point`` and ``time`` so callers can resolve
-    convex corners by a double reflection.
-    """
-
-    def __init__(self, vertex: int, point: tuple[float, float], time: float,
-                 convex: bool):
-        super().__init__(f"corner hit at vertex {vertex}")
-        self.vertex = vertex
-        self.point = point
-        self.time = time
-        self.convex = convex
-
-
 class StalledState(DynamicsError):
     """Velocity is tangent to the side the point sits on, or points outward."""
 

@@ -14,17 +14,25 @@ certificates never depend on floating-point luck.  Conventions:
   outside them.
 * The outer bounding box of a table is pinned with its lower-left corner at
   ``(1, 1)``.
+* Point-in-table questions (hole validation, :func:`contains_point`, the
+  cell raster behind tile anchors and quadrature grids) all use one exact
+  crossing rule; float queries convert exactly to ``Fraction`` and only the
+  ``EPS_GEOM`` boundary band is a tolerance.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     BadAlphabet,
@@ -47,7 +55,7 @@ VERTICAL = frozenset("NS")
 # Unit step of each letter (dx, dy).
 _STEP = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
 
-#: Tolerance band for classifying float query points against exact boundaries.
+#: Distance from a side within which a float query point counts as boundary.
 EPS_GEOM = 1e-9
 
 Point = tuple[Fraction, Fraction]
@@ -183,12 +191,6 @@ class VHPolygon:
     width: Fraction = field(compare=False)
     height: Fraction = field(compare=False)
     area: Fraction = field(compare=False)
-
-    def sides(self) -> list[tuple[Point, Point, str]]:
-        """List of (start, end, letter) in boundary order."""
-        n = len(self.vertices)
-        return [(self.vertices[i], self.vertices[(i + 1) % n], self.word.letters[i])
-                for i in range(n)]
 
 
 def build_polygon(word: CombinatoricsWord | str,
@@ -340,7 +342,7 @@ class VHTable:
     certificate: TilingCertificate | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _validate_holes(self.outer, self.holes)
+        _validate_holes(self)
 
     # -- derived geometry --------------------------------------------------
 
@@ -387,37 +389,28 @@ def build_table(outer: VHPolygon,
     return VHTable(outer=outer, holes=packed)
 
 
-def _validate_holes(outer: VHPolygon,
-                    holes: Sequence[tuple[VHPolygon, Point]]) -> None:
-    ax, ay = TABLE_ANCHOR
-    outer_abs = [(v[0] + ax, v[1] + ay) for v in outer.vertices]
-    outer_segs = _loop_segments(outer_abs)
-
-    hole_abs: list[list[Point]] = []
-    for poly, (hx, hy) in holes:
-        verts = [(v[0] + hx, v[1] + hy) for v in poly.vertices]
+def _validate_holes(table: VHTable) -> None:
+    outer, *holes = [verts for verts, _, _ in table.boundary_loops()]
+    outer_segs = _loop_segments(outer)
+    for verts in holes:
         for v in verts:
-            if _classify_exact(v, [outer_abs]) is not PointLocation.INTERIOR:
+            if _classify_exact(v, [outer]) is not PointLocation.INTERIOR:
                 raise HolePlacement(
                     f"hole vertex {v} not strictly inside the outer polygon")
-        segs = _loop_segments(verts)
-        for s in segs:
+        for s in _loop_segments(verts):
             for t in outer_segs:
                 if _segments_intersect(s, t):
                     raise HolePlacement("hole boundary touches the outer boundary")
-        hole_abs.append(verts)
 
-    for i in range(len(hole_abs)):
-        for j in range(i + 1, len(hole_abs)):
-            segs_i = _loop_segments(hole_abs[i])
-            segs_j = _loop_segments(hole_abs[j])
-            for s in segs_i:
-                for t in segs_j:
+    for i in range(len(holes)):
+        for j in range(i + 1, len(holes)):
+            for s in _loop_segments(holes[i]):
+                for t in _loop_segments(holes[j]):
                     if _segments_intersect(s, t):
                         raise HolePlacement(f"holes {i} and {j} touch")
-            if (_classify_exact(hole_abs[i][0], [hole_abs[j]])
+            if (_classify_exact(holes[i][0], [holes[j]])
                     is PointLocation.INTERIOR
-                    or _classify_exact(hole_abs[j][0], [hole_abs[i]])
+                    or _classify_exact(holes[j][0], [holes[i]])
                     is PointLocation.INTERIOR):
                 raise HolePlacement(f"holes {i} and {j} are nested")
 
@@ -430,75 +423,104 @@ def _loop_segments(verts: Sequence[Point]) -> list[tuple[Point, Point]]:
 # ---------------------------------------------------------------------------
 # point classification
 # ---------------------------------------------------------------------------
+#
+# One crossing rule decides every point-in-table question: the vertical line
+# through x crosses the horizontal sides whose x-span [lo, hi) holds x.  The
+# half-open span counts a line through a vertex once, as if shifted slightly
+# to the right, so a point off the boundary is interior exactly when an odd
+# number of crossings lie above it.
 
-def _on_any_segment(pt: Point, loops: Sequence[Sequence[Point]]) -> bool:
-    x, y = pt
+def _split_sides(loops: Sequence[Sequence[Point]]):
+    """Horizontal and vertical sides, each as (line coordinate, lo, hi)."""
+    horizontal, vertical = [], []
     for verts in loops:
         for (x0, y0), (x1, y1) in _loop_segments(verts):
-            if x0 == x1:
-                if x == x0 and min(y0, y1) <= y <= max(y0, y1):
-                    return True
+            if y0 == y1:
+                horizontal.append((y0, min(x0, x1), max(x0, x1)))
             else:
-                if y == y0 and min(x0, x1) <= x <= max(x0, x1):
+                vertical.append((x0, min(y0, y1), max(y0, y1)))
+    return horizontal, vertical
+
+
+def _crossings(x: Fraction, horizontal) -> list[Fraction]:
+    """Sorted heights where the vertical line through x crosses the
+    horizontal sides, each side's x-span taken half-open."""
+    return sorted(y for y, lo, hi in horizontal if lo <= x < hi)
+
+
+def _near_side(pt: Point, horizontal, vertical, tol) -> bool:
+    """Whether a side lies within distance ``tol`` of ``pt``, decided on
+    exact squared distances; with ``tol`` 0, whether ``pt`` is on a side."""
+    x, y = pt
+    for across, along, sides in ((y, x, horizontal), (x, y, vertical)):
+        for c, lo, hi in sides:
+            if across == c and lo <= along <= hi:
+                return True
+            if tol and abs(across - c) <= tol:
+                past = max(lo - along, along - hi, 0)
+                if (across - c) ** 2 + past ** 2 <= tol ** 2:
                     return True
     return False
 
 
-def _classify_exact(pt: Point, loops: Sequence[Sequence[Point]]) -> PointLocation:
-    """Exact even/odd classification against a set of boundary loops."""
-    if _on_any_segment(pt, loops):
+def _classify_exact(pt: Point, loops: Sequence[Sequence[Point]],
+                    tol=0) -> PointLocation:
+    """Exact classification; points within ``tol`` of a side are on the
+    boundary."""
+    horizontal, vertical = _split_sides(loops)
+    if _near_side(pt, horizontal, vertical, tol):
         return PointLocation.BOUNDARY
     x, y = pt
-    crossings = 0
-    for verts in loops:
-        for (x0, y0), (x1, y1) in _loop_segments(verts):
-            if x0 != x1:
-                continue  # horizontal sides never cross a horizontal ray generically
-            ylo, yhi = sorted((y0, y1))
-            # half-open rule in y avoids double counting at shared vertices
-            if ylo <= y < yhi and x < x0:
-                crossings += 1
-    return PointLocation.INTERIOR if crossings % 2 else PointLocation.EXTERIOR
+    above = sum(1 for h in _crossings(x, horizontal) if h > y)
+    return PointLocation.INTERIOR if above % 2 else PointLocation.EXTERIOR
 
 
 def contains_point(table: VHTable, point: tuple) -> PointLocation:
-    """Classify a point; exact for rationals, banded by EPS_GEOM for floats."""
+    """Classify a point exactly.
+
+    A float coordinate converts exactly to a ``Fraction``; a query with one
+    counts as on the boundary within ``EPS_GEOM`` of a side (an exact squared
+    distance), while rational queries use no band at all.
+    """
     px, py = point
-    loops = [table.outer_vertices()]
-    loops.extend(table.hole_vertices(k) for k in range(len(table.holes)))
-    if isinstance(px, float) or isinstance(py, float):
-        if _near_boundary(float(px), float(py), loops, EPS_GEOM):
-            return PointLocation.BOUNDARY
-        pt = (Fraction(float(px)), Fraction(float(py)))
-        loc = _classify_exact(pt, loops)
-        # exact landing on the boundary already caught by the band
-        return loc
-    pt = (_to_fraction(px), _to_fraction(py))
-    return _classify_exact(pt, loops)
+    banded = isinstance(px, float) or isinstance(py, float)
+    loops = [verts for verts, _, _ in table.boundary_loops()]
+    return _classify_exact((_to_fraction(px), _to_fraction(py)), loops,
+                           Fraction(EPS_GEOM) if banded else 0)
 
 
-def _near_boundary(px: float, py: float,
-                   loops: Sequence[Sequence[Point]], eps: float) -> bool:
-    for verts in loops:
-        for (x0, y0), (x1, y1) in _loop_segments(verts):
-            fx0, fy0, fx1, fy1 = float(x0), float(y0), float(x1), float(y1)
-            if fx0 == fx1:
-                lo, hi = min(fy0, fy1), max(fy0, fy1)
-                dy = 0.0 if lo <= py <= hi else min(abs(py - lo), abs(py - hi))
-                if dy == 0.0:
-                    d = abs(px - fx0)
-                else:
-                    d = ((px - fx0) ** 2 + dy ** 2) ** 0.5
-            else:
-                lo, hi = min(fx0, fx1), max(fx0, fx1)
-                dx = 0.0 if lo <= px <= hi else min(abs(px - lo), abs(px - hi))
-                if dx == 0.0:
-                    d = abs(py - fy0)
-                else:
-                    d = (dx ** 2 + (py - fy0) ** 2) ** 0.5
-            if d <= eps:
-                return True
-    return False
+def interior_cells(table: VHTable, p: int, q: int) -> np.ndarray:
+    """Raster of the (1/p, 1/q) cells covering the bounding box, from its
+    lower-left corner, whose centres are interior: ``out[i, j]`` is cell
+    column i, row j.
+
+    Each column reads its interior runs off one :func:`_crossings` call; a
+    centre on a side is a boundary point and stays out.
+    """
+    (x0, y0), (x1, y1) = table.bbox
+    horizontal, vertical = _split_sides(
+        [verts for verts, _, _ in table.boundary_loops()])
+    half = Fraction(1, 2)
+
+    @functools.cache  # columns between two vertex abscissae share their runs
+    def rows(lo: Fraction, hi: Fraction, closed: bool) -> slice:
+        # rows j whose centre y0 + (j + 1/2)/q lies in (lo, hi), or [lo, hi]
+        a, b = (lo - y0) * q - half, (hi - y0) * q - half
+        first = math.ceil(a) if closed else math.floor(a) + 1
+        last = math.floor(b) if closed else math.ceil(b) - 1
+        return slice(first, last + 1)
+
+    out = np.zeros((math.ceil((x1 - x0) * p), math.ceil((y1 - y0) * q)),
+                   dtype=bool)
+    for i in range(out.shape[0]):
+        xc = x0 + Fraction(2 * i + 1, 2 * p)
+        heights = _crossings(xc, horizontal)
+        for lo, hi in zip(heights[0::2], heights[1::2]):
+            out[i, rows(lo, hi, closed=False)] = True
+        for c, lo, hi in vertical:
+            if c == xc:
+                out[i, rows(lo, hi, closed=True)] = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,19 +558,11 @@ def lattice_fits(table: VHTable, p: int, q: int) -> bool:
 def tile_anchors(table: VHTable, cert: TilingCertificate) -> list[Point]:
     """Lower-left corners of the tiles covering the table, row-major order."""
     (x0, y0), (x1, y1) = table.bbox
-    nx = (x1 - x0) * cert.p
-    ny = (y1 - y0) * cert.q
-    assert nx.denominator == 1 and ny.denominator == 1
-    anchors = []
-    loops = [table.outer_vertices()]
-    loops.extend(table.hole_vertices(k) for k in range(len(table.holes)))
-    for j in range(int(ny)):
-        for i in range(int(nx)):
-            cx = x0 + Fraction(2 * i + 1, 2 * cert.p)
-            cy = y0 + Fraction(2 * j + 1, 2 * cert.q)
-            if _classify_exact((cx, cy), loops) is PointLocation.INTERIOR:
-                anchors.append((x0 + Fraction(i, cert.p),
-                                y0 + Fraction(j, cert.q)))
+    assert ((x1 - x0) * cert.p).denominator == 1
+    assert ((y1 - y0) * cert.q).denominator == 1
+    rows, cols = np.nonzero(interior_cells(table, cert.p, cert.q).T)
+    anchors = [(x0 + Fraction(i, cert.p), y0 + Fraction(j, cert.q))
+               for j, i in zip(rows.tolist(), cols.tolist())]
     if len(anchors) != cert.tile_count:
         raise GeometryError(
             f"certificate claims {cert.tile_count} tiles, found {len(anchors)}; "

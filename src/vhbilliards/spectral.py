@@ -8,7 +8,8 @@ in exactly one rectangle tile, which makes the tile-average projector exactly
 idempotent and self-adjoint at the discrete level.
 
 Observables are finite trigonometric sums over the table's bounding box;
-restriction multiplies by the indicator of the (closed) table.
+restriction multiplies by the indicator of the (closed) table, evaluated with
+the crossing rule of :mod:`geometry` on the table's float sides.
 
 One rule evaluates an observable ``h`` on points: a :class:`SampledObservable`
 yields its stored values, after checking that it belongs to a grid compatible
@@ -22,15 +23,20 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import MAX_EVENTS, FlowBatch, SideTable, prepare_sides
+from .dynamics import MAX_EVENTS, FlowBatch, sides_of
 from .errors import GridMismatch, TooManySingular, UnalignedGrid
-from .geometry import TilingCertificate, VHTable, table_hash, tile_anchors
+from .geometry import (
+    TilingCertificate,
+    VHTable,
+    interior_cells,
+    table_hash,
+    tile_anchors,
+)
 
 #: abort correlation runs whose dropped (singular) mass exceeds this fraction
 MAX_DROPPED_FRACTION = 1e-3
@@ -181,19 +187,21 @@ def restrict(h, table: VHTable) -> RestrictedObservable:
 
 
 def _inside_mask(table: VHTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized closed-table indicator (boundary counts as inside)."""
-    sides = prepare_sides(table)
-    vert = sides.axis == 0
-    cnt = np.zeros(xs.shape, dtype=np.int64)
-    on_edge = np.zeros(xs.shape, dtype=bool)
-    for s in np.nonzero(vert)[0]:
-        lo, hi, c = sides.lo[s], sides.hi[s], sides.coord[s]
-        cnt += ((ys >= lo) & (ys < hi) & (xs < c))
-        on_edge |= (xs == c) & (ys >= lo) & (ys <= hi)
-    for s in np.nonzero(~vert)[0]:
-        lo, hi, c = sides.lo[s], sides.hi[s], sides.coord[s]
-        on_edge |= (ys == c) & (xs >= lo) & (xs <= hi)
-    return ((cnt % 2 == 1) | on_edge).astype(np.float64)
+    """Closed-table indicator at float points (boundary counts as inside).
+
+    Vectorized form of the crossing rule of :mod:`geometry` on the table's
+    float sides: a point is inside when it lies on a side or an odd number of
+    horizontal sides whose x-span [lo, hi) holds it lie above it.
+    """
+    s = sides_of(table)
+    odd = np.zeros(xs.shape, dtype=bool)
+    on_side = np.zeros(xs.shape, dtype=bool)
+    for c, lo, hi in zip(s.h_coord.tolist(), s.h_lo.tolist(), s.h_hi.tolist()):
+        odd ^= (xs >= lo) & (xs < hi) & (ys < c)
+        on_side |= (ys == c) & (xs >= lo) & (xs <= hi)
+    for c, lo, hi in zip(s.v_coord.tolist(), s.v_lo.tolist(), s.v_hi.tolist()):
+        on_side |= (xs == c) & (ys >= lo) & (ys <= hi)
+    return (odd | on_side).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -262,40 +270,17 @@ def _grid_values(h, grid: QuadratureGrid, width: float,
 
 
 def build_grid(table: VHTable, m: int) -> QuadratureGrid:
-    """Exact scanline rasterization of the interior cell midpoints.
+    """Interior cell midpoints of the m-per-unit grid, decided exactly.
 
-    Cell membership is decided with exact rational comparisons, column by
-    column, so aligned grids have exactly ``area * m**2`` points.  When the
-    bounding box is not commensurate with 1/m the cover is rounded up and
-    boundary-straddling cells keep or lose their midpoint exactly.
+    Membership comes from :func:`geometry.interior_cells`, the rule that
+    also finds the tile anchors, so aligned grids have exactly
+    ``area * m**2`` points.  When the bounding box is not commensurate with
+    1/m the cover is rounded up, and a midpoint on the boundary is dropped.
     """
     if m < 1:
         raise ValueError("resolution m must be positive")
     (x0, y0), (x1, y1) = table.bbox
-    nx = int(math.ceil((x1 - x0) * m))
-    ny = int(math.ceil((y1 - y0) * m))
-
-    hsides: list[tuple[Fraction, Fraction, Fraction]] = []
-    for verts, letters, _ in table.boundary_loops():
-        n = len(verts)
-        for i in range(n):
-            if letters[i] in ("E", "W"):
-                xa, ya = verts[i]
-                xb, _ = verts[(i + 1) % n]
-                hsides.append((ya, min(xa, xb), max(xa, xb)))
-
-    raster = np.zeros((nx, ny), dtype=bool)
-    half = Fraction(1, 2)
-    for i in range(nx):
-        xc = x0 + Fraction(2 * i + 1, 2 * m)
-        crossings = sorted(y for y, lo, hi in hsides if lo <= xc < hi)
-        for a, b in zip(crossings[0::2], crossings[1::2]):
-            jmin = math.floor((a - y0) * m - half) + 1
-            jmax = math.ceil((b - y0) * m - half) - 1
-            if jmax >= jmin:
-                raster[i, max(jmin, 0):min(jmax, ny - 1) + 1] = True
-
-    ix, iy = np.nonzero(raster)
+    ix, iy = np.nonzero(interior_cells(table, m, m))
     if ix.size == 0:
         raise UnalignedGrid(f"resolution m = {m} leaves no interior midpoints")
     xs = float(x0) + (ix + 0.5) / m
@@ -457,8 +442,6 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
                        t_grid: Sequence[float],
                        budget: int = MAX_EVENTS,
                        box: tuple[float, float] | None = None,
-                       sides: SideTable | None = None,
-                       max_dropped: float = MAX_DROPPED_FRACTION,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Correlation values C_j(theta_i, t_k) for a stack of observables ``hs``
     and a batch of directions.
@@ -476,8 +459,6 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size and (np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0):
         raise ValueError("time grid must be strictly increasing and >= 0")
-    if sides is None:
-        sides = prepare_sides(grid.table)
     width, height = box if box is not None else (grid.width, grid.height)
     hs = list(hs)
     h0s = [_grid_values(h, grid, width, height) for h in hs]
@@ -490,17 +471,17 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     for start in range(0, thetas.size, chunk):
         sel = thetas[start:start + chunk]
         nb = sel.size
-        batch = FlowBatch(sides, *_direction_batch(grid, sel),
+        batch = FlowBatch(grid.table, *_direction_batch(grid, sel),
                           max_events=budget)
         for k, t_k in enumerate(t_grid):
             batch.advance_to(float(t_k))
             alive = ~batch.singular
             counts = alive.reshape(nb, block).sum(axis=1)
             frac = 1.0 - counts / block
-            if np.any(frac > max_dropped):
+            if np.any(frac > MAX_DROPPED_FRACTION):
                 raise TooManySingular(
                     f"dropped quadrature mass {frac.max():.2e} exceeds "
-                    f"{max_dropped:.0e}")
+                    f"{MAX_DROPPED_FRACTION:.0e}")
             # one row per (direction, label): h0 broadcasts along the rows
             alive_rows = alive.reshape(4 * nb, npts)
             for j, (h, h0) in enumerate(zip(hs, h0s)):
@@ -607,7 +588,7 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     hd_fn = TileAverageObservable(h, table, cert)
 
     n = grid.npts
-    batch = FlowBatch(prepare_sides(table), *_direction_batch(grid, [theta]),
+    batch = FlowBatch(table, *_direction_batch(grid, [theta]),
                       max_events=budget)
     batch.advance_to(float(t))
     alive = ~batch.singular

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from vhbilliards.cli import main
-from vhbilliards.geometry import load_table, lshape, save_table, unit_square
+from vhbilliards.geometry import (
+    build_polygon,
+    build_table,
+    load_table,
+    lshape,
+    save_table,
+    unit_square,
+)
 
 
 @pytest.fixture
@@ -59,6 +66,21 @@ class TestTile:
         out = json.loads(capsys.readouterr().out)
         assert out["tile_count"] == 3
         assert len(out["anchors"]) == 3
+
+    def test_anchor_order_is_row_major(self, lshape_file, tmp_path, capsys):
+        assert main(["tile", lshape_file, "--list"]) == 0
+        assert json.loads(capsys.readouterr().out)["anchors"] == [
+            ["1", "1"], ["2", "1"], ["1", "2"]]
+        # a 3x3 square with the centre tile cut out as a hole
+        path = tmp_path / "ring.json"
+        save_table(build_table(build_polygon("ENWS", [3, 3, 3, 3]),
+                               [(build_polygon("ENWS", [1, 1, 1, 1]),
+                                 (2, 2))]), path)
+        assert main(["tile", str(path), "--list"]) == 0
+        assert json.loads(capsys.readouterr().out)["anchors"] == [
+            ["1", "1"], ["2", "1"], ["3", "1"],
+            ["1", "2"], ["3", "2"],
+            ["1", "3"], ["2", "3"], ["3", "3"]]
 
 
 class TestApproximate:

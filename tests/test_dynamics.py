@@ -5,7 +5,9 @@ rectangles, a parametric ray/segment intersection oracle for first hits, and
 straight-line unfolding for mirror compositions.
 """
 
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +26,10 @@ from vhbilliards.dynamics import (
     orbit_to_csv,
     orbit_to_svg,
     prepare_sides,
+    sides_of,
     unfold_position,
 )
 from vhbilliards.errors import (
-    CornerHit,
     DegenerateDirection,
     EventBudgetExceeded,
     SingularOrbit,
@@ -91,21 +93,23 @@ class TestNextEvent:
     def test_square_closed_form(self, square):
         theta = math.atan(0.5)
         state = PhasePoint(1.5, 1.5, DirectionState(theta))
-        (hx, hy), side, t = next_event(square, state)
+        (hx, hy), side, t, vertex = next_event(square, state)
+        assert vertex is None
         assert hx == 2.0
         assert abs(hy - 1.75) < 1e-12
         assert abs(t - 0.5 / math.cos(theta)) < 1e-12
 
     def test_diagonal_into_corner(self, square):
         state = PhasePoint(1.5, 1.5, DirectionState(math.pi / 4))
-        with pytest.raises(CornerHit) as err:
-            next_event(square, state)
-        assert err.value.point == (2.0, 2.0)
-        assert err.value.convex
+        point, _, t, vertex = next_event(square, state)
+        assert point == (2.0, 2.0)
+        assert abs(t - math.sqrt(0.5)) < 1e-12
+        assert prepare_sides(square).vertex_convex[vertex]
 
     def test_lshape_matches_brute_force(self, lshape_table):
         state = PhasePoint(1.5, 1.5, DirectionState(math.pi / 3))
-        (hx, hy), side, t = next_event(lshape_table, state)
+        (hx, hy), side, t, vertex = next_event(lshape_table, state)
+        assert vertex is None
         vx, vy = state.direction.velocity
         t_oracle, point = brute_force_first_hit(lshape_table, 1.5, 1.5, vx, vy)
         assert abs(t - t_oracle) < 1e-12
@@ -127,9 +131,8 @@ class TestNextEvent:
                 sy = 1 if rng.random() < 0.5 else -1
                 state = PhasePoint(x, y, DirectionState(theta, sx, sy))
                 vx, vy = state.direction.velocity
-                try:
-                    (hx, hy), _, t = next_event(table, state)
-                except CornerHit:
+                (hx, hy), _, t, vertex = next_event(table, state)
+                if vertex is not None:
                     continue
                 t_oracle, point = brute_force_first_hit(table, x, y, vx, vy)
                 assert abs(t - t_oracle) < 1e-9
@@ -157,12 +160,36 @@ class TestStalledState:
 
     def test_inward_start_on_side_accepted(self, square):
         state = PhasePoint(2.0, 1.5, DirectionState(0.7, sx=-1))
-        (hx, hy), _, t = next_event(square, state)
+        (hx, hy), _, t, vertex = next_event(square, state)
+        assert vertex is None
         vx, vy = state.direction.velocity
         t_oracle, point = brute_force_first_hit(square, 2.0, 1.5, vx, vy)
         assert abs(t - t_oracle) < 1e-12
         assert abs(hx - point[0]) < 1e-12 and abs(hy - point[1]) < 1e-12
         assert flow(square, state, 0.5).x < 2.0
+
+
+class TestSideTable:
+    def test_one_view_per_table(self, holed_table):
+        sides = sides_of(holed_table)
+        assert sides_of(holed_table) is sides
+        assert sides_of(sides) is sides
+        state = PhasePoint(1.1, 1.1, DirectionState(0.7))
+        assert orbit(holed_table, state, max_time=3.0).sides is sides
+        batch = FlowBatch(holed_table, [1.1], [1.1], [0.6], [0.8])
+        assert batch.sides is sides
+        # prepare_sides stays a plain builder
+        assert prepare_sides(holed_table) is not sides
+
+    def test_view_goes_with_its_table(self):
+        from vhbilliards.geometry import lshape
+
+        table = lshape()
+        view = weakref.ref(sides_of(table))
+        owner = weakref.ref(table)
+        del table
+        gc.collect()
+        assert owner() is None and view() is None
 
 
 class TestFlow:
@@ -479,7 +506,6 @@ def test_eps_corner_band(square):
     # aiming within EPS_CORNER of the corner resolves as a corner event
     theta = math.atan2(0.5 - EPS_CORNER / 4, 0.5)
     state = PhasePoint(1.5, 1.5, DirectionState(theta))
-    with pytest.raises(CornerHit) as err:
-        next_event(square, state)
-    assert err.value.point == (2.0, 2.0)
-    assert err.value.convex
+    point, _, _, vertex = next_event(square, state)
+    assert point == (2.0, 2.0)
+    assert prepare_sides(square).vertex_convex[vertex]

@@ -8,6 +8,7 @@ soundness, and a float ray-caster for containment.
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,10 +27,12 @@ from vhbilliards.errors import (
 from vhbilliards.geometry import (
     PointLocation,
     TABLE_ANCHOR,
+    _classify_exact,
     approximate_pq,
     build_polygon,
     build_table,
     contains_point,
+    interior_cells,
     lattice_fits,
     load_table,
     lshape,
@@ -41,6 +44,7 @@ from vhbilliards.geometry import (
     tiling_parameters,
     unit_square,
 )
+from vhbilliards.lab import random_table
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -86,6 +90,39 @@ def ray_cast(loops, px, py):
             if lo <= py < hi and px < x0:
                 crossings += 1
     return crossings % 2 == 1
+
+
+def table_loops(table):
+    return [table.outer_vertices()] + [table.hole_vertices(k)
+                                       for k in range(len(table.holes))]
+
+
+def float_distance(loops, px, py):
+    """Float distance from a point to the nearest side."""
+    best = float("inf")
+    for verts in loops:
+        n = len(verts)
+        for i in range(n):
+            x0, y0 = float(verts[i][0]), float(verts[i][1])
+            x1, y1 = float(verts[(i + 1) % n][0]), float(verts[(i + 1) % n][1])
+            cx = min(max(px, min(x0, x1)), max(x0, x1))
+            cy = min(max(py, min(y0, y1)), max(y0, y1))
+            best = min(best, ((px - cx) ** 2 + (py - cy) ** 2) ** 0.5)
+    return best
+
+
+def per_centre_anchors(table, p, q):
+    """Raster oracle: classify every (1/p, 1/q) cell centre on its own."""
+    (x0, y0), (x1, y1) = table.bbox
+    loops = table_loops(table)
+    anchors = []
+    for j in range(int((y1 - y0) * q)):
+        for i in range(int((x1 - x0) * p)):
+            cx = x0 + Fraction(2 * i + 1, 2 * p)
+            cy = y0 + Fraction(2 * j + 1, 2 * q)
+            if _classify_exact((cx, cy), loops) is PointLocation.INTERIOR:
+                anchors.append((x0 + Fraction(i, p), y0 + Fraction(j, q)))
+    return anchors
 
 
 def balanced_trace_start(letters):
@@ -279,6 +316,33 @@ class TestContainsPoint:
                 continue
             assert (loc is PointLocation.INTERIOR) == ray_cast(loops, px, py)
 
+    def test_floats_match_ray_cast_on_holed_and_random_tables(
+            self, holed_table, rng):
+        tables = [holed_table] + [random_table(rng) for _ in range(20)]
+        for table in tables:
+            loops = table_loops(table)
+            (x0, y0), (x1, y1) = table.bbox
+            for _ in range(200):
+                px = float(x0) - 0.2 + (float(x1 - x0) + 0.4) * rng.random()
+                py = float(y0) - 0.2 + (float(y1 - y0) + 0.4) * rng.random()
+                if float_distance(loops, px, py) < 1e-6:
+                    continue
+                loc = contains_point(table, (px, py))
+                assert loc is not PointLocation.BOUNDARY
+                assert (loc is PointLocation.INTERIOR) == \
+                    ray_cast(loops, px, py)
+
+    def test_float_band_is_a_distance(self, holed_table):
+        # inside the band around a vertex, outside it along the diagonal
+        x, y = 1.25, 1.25  # lower-left corner of the hole
+        assert contains_point(holed_table, (x - 6e-10, y - 6e-10)) \
+            is PointLocation.BOUNDARY
+        assert contains_point(holed_table, (x - 8e-10, y - 8e-10)) \
+            is PointLocation.INTERIOR
+        # a rational query gets no band
+        near = (Fraction(5, 4) - Fraction(1, 10**12), Fraction(3, 2))
+        assert contains_point(holed_table, near) is PointLocation.INTERIOR
+
 
 # ---------------------------------------------------------------------------
 # tiling certificates
@@ -315,6 +379,21 @@ class TestTilingParameters:
             assert not lattice_fits(table, cert.p // r, cert.q)
         for r in {d for d in range(2, cert.q + 1) if cert.q % d == 0}:
             assert not lattice_fits(table, cert.p, cert.q // r)
+
+    def test_raster_matches_per_centre_oracle(self):
+        rng = np.random.default_rng(808)
+        checked = 0
+        for _ in range(60):
+            table = random_table(rng)
+            cert = tiling_parameters(table)
+            if cert.tile_count > 2000:
+                continue
+            oracle = per_centre_anchors(table, cert.p, cert.q)
+            assert tile_anchors(table, cert) == oracle
+            raster = interior_cells(table, cert.p, cert.q)
+            assert int(raster.sum()) == len(oracle) == cert.tile_count
+            checked += 1
+        assert checked >= 40
 
     def test_anchors_cover_exactly(self, lshape_table):
         cert = tiling_parameters(lshape_table)

@@ -13,13 +13,16 @@ import pytest
 
 from vhbilliards.errors import GridMismatch, TooManySingular, UnalignedGrid
 from vhbilliards.geometry import (
+    PointLocation,
     approximate_pq,
     build_polygon,
     build_table,
+    contains_point,
     lshape,
     tiling_parameters,
     unit_square,
 )
+from vhbilliards.lab import random_table
 from vhbilliards.spectral import (
     Observable,
     SampledObservable,
@@ -106,6 +109,20 @@ class TestGrid:
         from vhbilliards.spectral import chi, inner
         assert inner(chi(grid), chi(grid), grid) == 1.0
 
+    def test_every_point_is_interior(self, holed_table):
+        # unaligned resolutions put some midpoints on the boundary (the
+        # holed table at m = 2 has them on the hole); they must stay out
+        rng = np.random.default_rng(31)
+        cases = [(holed_table, m) for m in (2, 3, 4, 8)]
+        cases += [(random_table(rng), m) for m in (3, 5) for _ in range(12)]
+        for table, m in cases:
+            grid = build_grid(table, m)
+            (x0, y0), _ = table.bbox
+            for i, j in zip(grid.ix.tolist(), grid.iy.tolist()):
+                mid = (x0 + Fraction(2 * i + 1, 2 * m),
+                       y0 + Fraction(2 * j + 1, 2 * m))
+                assert contains_point(table, mid) is PointLocation.INTERIOR
+
     def test_aligned_m_helper(self):
         cert = tiling_parameters(build_table(build_polygon("ENWS", ["3/2"] * 4)))
         assert aligned_m(cert, 50) % cert.p == 0
@@ -161,6 +178,45 @@ class TestRestrict:
         h = restrict(Observable.cosine(1, 0), table)
         val = h.evaluate(np.array([2.5]), np.array([2.5]), 2.0, 2.0)
         assert val[0] == 0.0  # the notch
+
+
+    def test_constant_matches_contains_point(self, holed_table):
+        rng = np.random.default_rng(57)
+        for table in [holed_table] + [random_table(rng) for _ in range(10)]:
+            (x0, y0), (x1, y1) = table.bbox
+            xs = float(x0) - 0.2 + (float(x1 - x0) + 0.4) * rng.random(400)
+            ys = float(y0) - 0.2 + (float(y1 - y0) + 0.4) * rng.random(400)
+            # keep points away from every vertex and side line
+            lines_x = [float(x) for x, _ in table.all_vertices()]
+            lines_y = [float(y) for _, y in table.all_vertices()]
+            away = np.ones(xs.shape, dtype=bool)
+            for c in lines_x:
+                away &= np.abs(xs - c) > 1e-6
+            for c in lines_y:
+                away &= np.abs(ys - c) > 1e-6
+            xs, ys = xs[away], ys[away]
+            got = restrict(Observable.constant(1.0), table).evaluate(
+                xs, ys, 1.0, 1.0)
+            want = [float(contains_point(table, (float(x), float(y)))
+                          is PointLocation.INTERIOR) for x, y in zip(xs, ys)]
+            assert got.tolist() == want
+
+    def test_boundary_counts_as_inside(self, holed_table):
+        h = restrict(Observable.constant(1.0), holed_table)
+        xs = np.array([1.25, 1.5, 3.0, 2.0, 1.0])
+        ys = np.array([1.5, 1.75, 1.5, 3.0, 1.0])
+        assert h.evaluate(xs, ys, 1.0, 1.0).tolist() == [1.0] * 5
+
+    def test_points_in_line_with_vertices(self, holed_table):
+        # x = 2 passes the notch's corner above (2, 1.5); the half-open rule
+        # must count the crossings there once
+        h = restrict(Observable.constant(1.0), holed_table)
+        pts = [(2.0, 1.5), (1.25, 1.1), (1.75, 1.1), (3.0, 2.5), (2.0, 3.5)]
+        want = [float(contains_point(holed_table, p) is PointLocation.INTERIOR)
+                for p in pts]
+        assert want == [1.0, 1.0, 1.0, 0.0, 0.0]
+        xs, ys = (np.array(v) for v in zip(*pts))
+        assert h.evaluate(xs, ys, 1.0, 1.0).tolist() == want
 
 
 class TestTileAverage:
