@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,13 +91,13 @@ class DirectionState:
         return (self.sx * math.cos(self.theta), self.sy * math.sin(self.theta))
 
     def flip_x(self) -> "DirectionState":
-        return replace(self, sx=-self.sx)
+        return DirectionState(self.theta, -self.sx, self.sy)
 
     def flip_y(self) -> "DirectionState":
-        return replace(self, sy=-self.sy)
+        return DirectionState(self.theta, self.sx, -self.sy)
 
     def flip_both(self) -> "DirectionState":
-        return replace(self, sx=-self.sx, sy=-self.sy)
+        return DirectionState(self.theta, -self.sx, -self.sy)
 
     def direction_class(self) -> tuple["DirectionState", ...]:
         return tuple(DirectionState(self.theta, sx, sy)

@@ -225,6 +225,10 @@ class QuadratureGrid:
     width: float
     height: float
     _classes: dict = field(default_factory=dict, repr=False)
+    # flowed four-label batch of one direction: (sides, theta, budget) and
+    # t -> (x, y, singular); see _flowed
+    _flow_direction: tuple = field(default=(), repr=False)
+    _flows: dict = field(default_factory=dict, repr=False)
 
     @property
     def npts(self) -> int:
@@ -257,6 +261,41 @@ class QuadratureGrid:
             cls = (self.ix % mx) * my + (self.iy % my)
             self._classes[key] = (cls.astype(np.int64), mx * my)
         return self._classes[key]
+
+    def _flowed(self, table: VHTable, theta: float, t: float,
+                budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(x, y, singular)`` of the grid's four-label batch for
+        ``theta`` after one ``advance_to(t)`` from time 0.
+
+        States are kept for one direction, keyed exactly by the identity of
+        the table's side view, ``theta``, ``t`` and ``budget``; a new
+        direction drops the old one.  A state is not kept when the kept
+        points would pass ``BATCH_POINT_LIMIT``.  A later time is always
+        flowed from 0, never resumed from a kept earlier time, since stepping
+        through intermediate times rounds differently from one jump.
+
+        The kept states live as long as the grid: 17 bytes per point (two
+        float64 coordinates and a bool), so up to about 68 MB at
+        ``BATCH_POINT_LIMIT``.  They only pay off for consecutive calls in
+        one direction.
+        """
+        sides = sides_of(table)
+        theta, t = float(theta), float(t)
+        d = self._flow_direction
+        if not (d and d[0] is sides and d[1] == theta and d[2] == budget):
+            self._flows.clear()
+            self._flow_direction = (sides, theta, budget)
+        state = self._flows.get(t)
+        if state is None:
+            batch = FlowBatch(sides, *_direction_batch(self, [theta]),
+                              max_events=budget)
+            batch.advance_to(t)
+            state = (batch.x, batch.y, batch.singular)
+            for a in state:
+                a.setflags(write=False)
+            if (len(self._flows) + 1) * 4 * self.npts <= BATCH_POINT_LIMIT:
+                self._flows[t] = state
+        return state
 
 
 def _grid_values(h, grid: QuadratureGrid, width: float,
@@ -576,6 +615,17 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
 
     The flowed factor is always evaluated analytically (trigonometric sums
     and their tile averages), while the unflowed factor uses grid samples.
+
+    The flow does not depend on ``h``, so the grid keeps the flowed points
+    of one direction: calls that repeat the table (the same instance),
+    ``theta``, ``t`` and ``budget`` on one grid flow once and read the kept
+    state, whatever their observable.  Each time is still flowed from 0 in
+    one jump, so every report is byte-identical to a cold call on a fresh
+    grid.  A new table, ``theta`` or ``budget`` drops the kept states, and
+    the kept points never pass ``BATCH_POINT_LIMIT``.  The kept states stay
+    with the grid for its lifetime, about 17 bytes per point (up to about
+    68 MB at ``BATCH_POINT_LIMIT``), and only save work for consecutive calls
+    that share the direction.
     """
     if not grid.aligned_for(cert):
         raise UnalignedGrid("chain check needs a tile-aligned grid")
@@ -588,18 +638,16 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     hd_fn = TileAverageObservable(h, table, cert)
 
     n = grid.npts
-    batch = FlowBatch(table, *_direction_batch(grid, [theta]),
-                      max_events=budget)
-    batch.advance_to(float(t))
-    alive = ~batch.singular
+    x, y, singular = grid._flowed(table, theta, t, budget)
+    alive = ~singular
     count = int(alive.sum())
     dropped_fraction = 1.0 - count / (4 * n)
     if dropped_fraction > MAX_DROPPED_FRACTION:
         raise TooManySingular(
             f"dropped fraction {dropped_fraction:.2e} too large")
 
-    f_h = h.evaluate(batch.x, batch.y, grid.width, grid.height)
-    f_hd = hd_fn.evaluate(batch.x, batch.y)
+    f_h = h.evaluate(x, y, grid.width, grid.height)
+    f_hd = hd_fn.evaluate(x, y)
     f_hc = f_h - f_hd
 
     def term(fvals: np.ndarray, gvals: np.ndarray) -> float:
@@ -679,15 +727,29 @@ def oscillation_bound_check(h: Observable, cert: TilingCertificate,
     class_vals[cls] = hd.values
     mx = grid.m // cert.p
     my = grid.m // cert.q
-    ux = ((np.arange(ncls) // my) + 0.5) / grid.m
-    uy = ((np.arange(ncls) % my) + 0.5) / grid.m
-    dist = np.hypot(ux[:, None] - ux[None, :], uy[:, None] - uy[None, :])
-    close = (dist < delta) & (dist > 0)
-    if np.any(close):
-        diffs = np.abs(class_vals[:, None] - class_vals[None, :])
-        max_osc = float(diffs[close].max())
-    else:
-        max_osc = 0.0
+    # classes form an (mx, my) raster of in-tile offsets.  Every offset
+    # (da, db) between two classes is walked once (distance and difference
+    # are symmetric) by comparing the raster with its shifted self, so memory
+    # is O(ncls) while time stays O(ncls**2); each pair gets the same float
+    # distance a dense pairwise table would hold.
+    vals = class_vals.reshape(mx, my)
+    ux = (np.arange(mx) + 0.5) / grid.m
+    uy = (np.arange(my) + 0.5) / grid.m
+    peaks = []
+    for da in range(mx):
+        dx = ux[:mx - da] - ux[da:]
+        for db in range(1 - my, my):
+            if da == 0 and db <= 0:
+                continue
+            b0, b1 = max(0, -db), my - max(0, db)
+            dy = uy[b0:b1] - uy[b0 + db:b1 + db]
+            dist = np.hypot(dx[:, None], dy[None, :])
+            close = dist < delta
+            if np.any(close):
+                diffs = np.abs(vals[:mx - da, b0:b1]
+                               - vals[da:, b0 + db:b1 + db])
+                peaks.append(diffs[close].max())
+    max_osc = float(np.max(peaks)) if peaks else 0.0
     return OscillationReport(
         hypothesis_met=True,
         delta=delta,

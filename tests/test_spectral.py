@@ -11,7 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vhbilliards.errors import GridMismatch, TooManySingular, UnalignedGrid
+from vhbilliards.dynamics import MAX_EVENTS, sides_of
+from vhbilliards.errors import (
+    EventBudgetExceeded,
+    GridMismatch,
+    TooManySingular,
+    UnalignedGrid,
+)
 from vhbilliards.geometry import (
     PointLocation,
     approximate_pq,
@@ -426,7 +432,162 @@ class TestChainCheck:
                                     Observable.cosine(1, 0), 5.0, grid)
 
 
+class TestChainFlowCache:
+    """The grid keeps one direction's flowed points across chain checks."""
+
+    @staticmethod
+    def cold(table, cert, theta, h, t, budget=MAX_EVENTS):
+        # a fresh grid has nothing kept
+        grid = build_grid(table, 20)
+        return correlation_chain_check(table, cert, theta, h, t, grid,
+                                       budget=budget)
+
+    def test_warm_call_equals_cold_call(self, lshape5):
+        cert = lshape5.certificate
+        grid = build_grid(lshape5, 20)
+        correlation_chain_check(lshape5, cert, 1.0, basis_function(2), 5.0,
+                                grid)
+        assert list(grid._flows) == [5.0]
+        for j in (2, 3, 4):
+            warm = correlation_chain_check(lshape5, cert, 1.0,
+                                           basis_function(j), 5.0, grid)
+            cold = self.cold(lshape5, cert, 1.0, basis_function(j), 5.0)
+            assert repr(warm) == repr(cold)
+        assert list(grid._flows) == [5.0]
+
+    @pytest.mark.parametrize("change", [{"theta": 0.7}, {"t": 6.5},
+                                        {"budget": 10**6}])
+    def test_other_keys_never_hit(self, lshape5, change):
+        cert = lshape5.certificate
+        h = basis_function(3)
+        grid = build_grid(lshape5, 20)
+        correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)
+        call = {"theta": 1.0, "t": 5.0, "budget": MAX_EVENTS} | change
+        warm = correlation_chain_check(lshape5, cert, call["theta"], h,
+                                       call["t"], grid, budget=call["budget"])
+        cold = self.cold(lshape5, cert, call["theta"], h, call["t"],
+                         budget=call["budget"])
+        assert repr(warm) == repr(cold)
+
+    def test_other_table_never_hits(self, lshape5):
+        # the 2x2 square holds the L-shape's grid points but flows them
+        # differently; tables are told apart by their side views
+        square = build_table(build_polygon("ENWS", [2] * 4))
+        grid = build_grid(lshape5, 20)
+        grid._flowed(lshape5, 1.0, 5.0, MAX_EVENTS)
+        warm = grid._flowed(square, 1.0, 5.0, MAX_EVENTS)
+        cold = build_grid(lshape5, 20)._flowed(square, 1.0, 5.0, MAX_EVENTS)
+        for a, b in zip(warm, cold):
+            assert np.array_equal(a, b)
+        assert grid._flow_direction[0] is sides_of(square)
+
+    def test_small_budget_still_raises(self, lshape5):
+        cert = lshape5.certificate
+        grid = build_grid(lshape5, 20)
+        h = basis_function(2)
+        correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)
+        with pytest.raises(EventBudgetExceeded):
+            correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid,
+                                    budget=2)
+
+    def test_kept_arrays_are_read_only(self, lshape5):
+        grid = build_grid(lshape5, 20)
+        for a in grid._flowed(lshape5, 1.0, 5.0, MAX_EVENTS):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+
+    def test_one_direction_within_point_limit(self, lshape5, monkeypatch):
+        import vhbilliards.spectral as spectral
+
+        cert = lshape5.certificate
+        h = basis_function(2)
+        grid = build_grid(lshape5, 20)
+        block = 4 * grid.npts
+        monkeypatch.setattr(spectral, "BATCH_POINT_LIMIT", 2 * block + 1)
+        for t in (1.0, 2.0, 3.0):
+            correlation_chain_check(lshape5, cert, 1.0, h, t, grid)
+            assert len(grid._flows) * block <= spectral.BATCH_POINT_LIMIT
+        assert list(grid._flows) == [1.0, 2.0]
+        # an unkept time is flowed again, with the same result
+        warm = correlation_chain_check(lshape5, cert, 1.0, h, 3.0, grid)
+        assert repr(warm) == repr(self.cold(lshape5, cert, 1.0, h, 3.0))
+        correlation_chain_check(lshape5, cert, 0.7, h, 2.0, grid)
+        assert grid._flow_direction[1:] == (0.7, MAX_EVENTS)
+        assert list(grid._flows) == [2.0]
+
+
+def dense_max_oscillation(h, cert, grid, delta):
+    """Oracle: the largest tile-average difference over all class pairs
+    closer than delta, from full ncls x ncls tables."""
+    hd = tile_average(h, cert, grid)
+    cls, ncls = grid.tile_classes(cert)
+    class_vals = np.empty(ncls)
+    class_vals[cls] = hd.values
+    my = grid.m // cert.q
+    ux = ((np.arange(ncls) // my) + 0.5) / grid.m
+    uy = ((np.arange(ncls) % my) + 0.5) / grid.m
+    dist = np.hypot(ux[:, None] - ux[None, :], uy[:, None] - uy[None, :])
+    close = (dist < delta) & (dist > 0)
+    if not np.any(close):
+        return 0.0
+    diffs = np.abs(class_vals[:, None] - class_vals[None, :])
+    return float(diffs[close].max())
+
+
 class TestOscillationBound:
+    def test_stencil_matches_dense_pairs(self, lshape5):
+        rng = np.random.default_rng(8)
+        square = unit_square()
+        cases = [(square, tiling_parameters(square).refined(k), m)
+                 for k, m in ((4, 24), (5, 40), (2, 30), (1, 12))]
+        cases += [(lshape5, lshape5.certificate, m) for m in (20, 40)]
+        rect = build_table(build_polygon("ENWS", [2, "1/2", 2, "1/2"]))
+        cases += [(rect, tiling_parameters(rect).refined(3), 24)]
+        checked = 0
+        for table, cert, m in cases:
+            grid = build_grid(table, m)
+            hs = [basis_function(j) for j in (1, 2, 5, 6, 9)]
+            hs += [Observable.cosine(int(rng.integers(-3, 4)), 2)]
+            for h in hs:
+                for eps in (0.05, 0.3, 1.0, 3.0, 50.0):
+                    rep = oscillation_bound_check(h, cert, grid, eps)
+                    if not rep.hypothesis_met:
+                        continue
+                    want = dense_max_oscillation(h, cert, grid, rep.delta)
+                    assert rep.max_oscillation == want
+                    assert rep.passed == (want <= rep.bound + 1e-12)
+                    checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize("plus, minus", [((0, 0), (0, 5)),
+                                             ((1, 2), (6, 2)),
+                                             ((7, 0), (0, 5)),
+                                             ((2, 5), (5, 1))])
+    def test_stencil_finds_the_one_extreme_pair(self, plus, minus):
+        # the tile average is +1 and -1 on two in-tile cells and 0
+        # elsewhere, so only that pair differs by 2
+        table = build_table(build_polygon("ENWS", [2, "1/2", 2, "1/2"]))
+        cert = tiling_parameters(table).refined(3)
+        grid = build_grid(table, 24)
+        mx, my = grid.m // cert.p, grid.m // cert.q
+
+        class TwoCells:
+            def evaluate(self, xs, ys, width, height):
+                a = np.floor((xs - 1.0) * grid.m).astype(int) % mx
+                b = np.floor((ys - 1.0) * grid.m).astype(int) % my
+                return (1.0 * ((a == plus[0]) & (b == plus[1]))
+                        - 1.0 * ((a == minus[0]) & (b == minus[1])))
+
+            def lipschitz(self, width, height):
+                return 1.0
+
+        rep = oscillation_bound_check(TwoCells(), cert, grid, eps=10.0)
+        assert rep.hypothesis_met
+        assert rep.max_oscillation == 2.0
+        assert rep.max_oscillation == dense_max_oscillation(
+            TwoCells(), cert, grid, rep.delta)
+
     def test_constant_has_zero_oscillation(self, square_grid):
         cert = tiling_parameters(square_grid.table).refined(4)
         rep = oscillation_bound_check(Observable.constant(1.0), cert,
