@@ -25,13 +25,16 @@ from .errors import (
     TooManySingular,
 )
 from .geometry import (
+    PointLocation,
     approximate_pq,
+    contains_point,
     load_table,
     save_table,
     table_hash,
     tiling_parameters,
 )
 from .dynamics import (
+    MAX_EVENTS,
     DirectionState,
     PhasePoint,
     is_pi_commensurable,
@@ -141,6 +144,9 @@ def _cmd_approximate(args) -> int:
 
 def _cmd_orbit(args) -> int:
     table = load_table(args.table)
+    if contains_point(table, (args.x, args.y)) is PointLocation.EXTERIOR:
+        raise ConfigError(
+            f"start ({args.x}, {args.y}) lies outside the table")
     state = PhasePoint(args.x, args.y,
                        DirectionState(args.theta, args.sx, args.sy))
     history = orbit(table, state, max_time=args.time,
@@ -159,6 +165,13 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ConfigError(
+            f"--step must be a positive finite number, got {args.step}")
+    if not (math.isfinite(args.tmax) and args.tmax >= args.step):
+        raise ConfigError(
+            f"--tmax must be finite and at least --step {args.step}, "
+            f"got {args.tmax}")
     table = load_table(args.table)
     h = _parse_h(args.h)
     grid = build_grid(table, args.m)
@@ -220,6 +233,8 @@ def _cmd_gdelta_demo(args) -> int:
         cfg = json.load(fh)
     check_config_keys(cfg, _GDELTA_REQUIRED,
                       _GDELTA_REQUIRED + _GDELTA_OPTIONAL, "gdelta-demo config")
+    # seed and theta_count take gdelta_demo's defaults when not set
+    options = {k: cfg[k] for k in ("seed", "theta_count") if k in cfg}
     report = gdelta_demo(
         cfg["word"],
         (cfg["area_band"][0], cfg["area_band"][1]),
@@ -227,8 +242,7 @@ def _cmd_gdelta_demo(args) -> int:
         cfg["j_max"],
         cfg["n_list"],
         cfg["grid_m"],
-        seed=cfg.get("seed", 0),
-        theta_count=cfg.get("theta_count", 32),
+        **options,
     )
     out_dir = Path(cfg.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tmax", type=float, required=True)
     s.add_argument("--step", type=float, required=True)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--budget", type=int, default=10**7)
+    s.add_argument("--budget", type=int, default=MAX_EVENTS)
     s.add_argument("-o", "--output")
     s.add_argument("--summary")
     s.add_argument("--svg", help="gap-vs-t chart output path")

@@ -24,8 +24,11 @@ On the holed table of the README (2-vCPU Xeon, Python 3.11, numpy 2.4) the
 scalar loop takes about 8 us per event and ``FlowBatch`` fed one point about
 120 us, so single orbits keep their own path.
 
-Both paths read the table through its :class:`SideTable`, which
-:func:`sides_of` builds once per table and keeps on it.
+Both paths read the table through its :class:`SideTable`, a float
+projection of the table's exact boundary model (``VHTable.boundary``, every
+loop walked once into sides with their spans, end vertices, inward normals
+and vertex convexity); :func:`sides_of` builds it once per table and keeps it
+on the table.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     SingularOrbit,
     StalledState,
 )
-from .geometry import _STEP, VHTable
+from .geometry import VHTable
 
 #: vertex-proximity tolerance (table units)
 EPS_CORNER = 1e-12
@@ -125,10 +128,10 @@ class UnfoldedFrame:
 
 @dataclass
 class SideTable:
-    """Float view of the table boundary for the event loop.
+    """Float view of the table's exact boundary model for the event loop.
 
-    Sides are enumerated over the outer loop first, then each hole loop.
-    Vertices share the same enumeration; ``vertex_convex[v]`` refers to the
+    Sides and vertices keep the numbering of ``table.boundary``: the outer
+    loop first, then each hole loop.  ``vertex_convex[v]`` refers to the
     table-interior angle (holes contribute reversed turns).
     """
 
@@ -165,76 +168,27 @@ class SideTable:
                          self.inward_x.tolist(), self.inward_y.tolist())]
 
 
-_INWARD = {
-    (False, "E"): (0, 1), (False, "N"): (-1, 0),
-    (False, "W"): (0, -1), (False, "S"): (1, 0),
-    (True, "E"): (0, -1), (True, "N"): (1, 0),
-    (True, "W"): (0, 1), (True, "S"): (-1, 0),
-}
-
-
 def prepare_sides(table: VHTable) -> SideTable:
-    axis, coord, lo, hi = [], [], [], []
-    lo_v, hi_v, in_x, in_y = [], [], [], []
-    vx, vy, convex = [], [], []
-    v_offset = 0
-    for verts, letters, is_hole in table.boundary_loops():
-        n = len(verts)
-        for i in range(n):
-            x0, y0 = float(verts[i][0]), float(verts[i][1])
-            vx.append(x0)
-            vy.append(y0)
-            prev = letters[i - 1]
-            cur = letters[i]
-            pdx, pdy = _STEP[prev]
-            cdx, cdy = _STEP[cur]
-            left_turn = (pdx * cdy - pdy * cdx) > 0
-            convex.append(left_turn != is_hole)
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            letter = letters[i]
-            ix, iy = _INWARD[(is_hole, letter)]
-            in_x.append(ix)
-            in_y.append(iy)
-            if letter in ("N", "S"):
-                axis.append(0)
-                coord.append(float(a[0]))
-                ya, yb = float(a[1]), float(b[1])
-                if ya <= yb:
-                    lo.append(ya); hi.append(yb)
-                    lo_v.append(v_offset + i)
-                    hi_v.append(v_offset + (i + 1) % n)
-                else:
-                    lo.append(yb); hi.append(ya)
-                    lo_v.append(v_offset + (i + 1) % n)
-                    hi_v.append(v_offset + i)
-            else:
-                axis.append(1)
-                coord.append(float(a[1]))
-                xa, xb = float(a[0]), float(b[0])
-                if xa <= xb:
-                    lo.append(xa); hi.append(xb)
-                    lo_v.append(v_offset + i)
-                    hi_v.append(v_offset + (i + 1) % n)
-                else:
-                    lo.append(xb); hi.append(xa)
-                    lo_v.append(v_offset + (i + 1) % n)
-                    hi_v.append(v_offset + i)
-        v_offset += n
+    """A new float view of ``table.boundary``; :func:`sides_of` keeps one
+    per table."""
+    b = table.boundary
+    axis, line, lo, hi, lo_v, hi_v, inward, _ = zip(*b.sides)
+    vx, vy = zip(*b.vertices)
+    axis = np.array(axis, dtype=np.int8)
+    inward = np.array(inward, dtype=np.int8)
     return SideTable(
         table=table,
-        axis=np.array(axis, dtype=np.int8),
-        coord=np.array(coord, dtype=np.float64),
+        axis=axis,
+        coord=np.array(line, dtype=np.float64),
         lo=np.array(lo, dtype=np.float64),
         hi=np.array(hi, dtype=np.float64),
         lo_vertex=np.array(lo_v, dtype=np.int64),
         hi_vertex=np.array(hi_v, dtype=np.int64),
-        inward_x=np.array(in_x, dtype=np.int8),
-        inward_y=np.array(in_y, dtype=np.int8),
+        inward_x=np.where(axis == 0, inward, 0).astype(np.int8),
+        inward_y=np.where(axis == 1, inward, 0).astype(np.int8),
         vertex_x=np.array(vx, dtype=np.float64),
         vertex_y=np.array(vy, dtype=np.float64),
-        vertex_convex=np.array(convex, dtype=bool),
+        vertex_convex=np.array(b.convex, dtype=bool),
     )
 
 

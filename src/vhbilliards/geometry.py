@@ -14,10 +14,13 @@ certificates never depend on floating-point luck.  Conventions:
   outside them.
 * The outer bounding box of a table is pinned with its lower-left corner at
   ``(1, 1)``.
-* Point-in-table questions (hole validation, :func:`contains_point`, the
-  cell raster behind tile anchors and quadrature grids) all use one exact
-  crossing rule; float queries convert exactly to ``Fraction`` and only the
-  ``EPS_GEOM`` boundary band is a tolerance.
+* Each table walks its boundary loops once, into the exact side list of
+  :attr:`VHTable.boundary`.  Hole validation, :func:`contains_point`, the
+  cell raster behind tile anchors and quadrature grids, the tiling
+  certificates and the float side view of :mod:`dynamics` all read it.
+* Point-in-table questions all use one exact crossing rule; float queries
+  convert exactly to ``Fraction`` and only the ``EPS_GEOM`` boundary band is
+  a tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,8 +202,8 @@ def build_polygon(word: CombinatoricsWord | str,
 
     A raw letter string is canonicalized together with its lengths (both are
     rotated by the same shift, so sides keep their lengths).  Closure is
-    checked exactly; simplicity by exhaustive pairwise segment tests (tables
-    are small, quadratic cost is irrelevant).
+    checked exactly; simplicity by exhaustive pairwise side-touch tests
+    (tables are small, quadratic cost is irrelevant).
     """
     lens = tuple(_to_fraction(v) for v in lengths)
     if not isinstance(word, CombinatoricsWord):
@@ -232,7 +235,12 @@ def build_polygon(word: CombinatoricsWord | str,
         verts.append(pos)
     verts.pop()  # closure verified above; drop duplicate start
 
-    _check_simple(verts)
+    sides, _ = _walk_loop(verts, word.letters)
+    n = len(sides)
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):  # neighbours share one vertex
+            if _touch(sides[i], sides[j]):
+                raise SelfIntersecting(f"sides {i} and {j} touch or cross")
 
     area2 = _signed_area2(verts)
     if area2 < 0:
@@ -258,44 +266,55 @@ def _signed_area2(verts: Sequence[Point]) -> Fraction:
     return total
 
 
-def _segments_intersect(a: tuple[Point, Point], b: tuple[Point, Point]) -> bool:
-    """Exact intersection test for two axis-parallel closed segments."""
-    (ax0, ay0), (ax1, ay1) = a
-    (bx0, by0), (bx1, by1) = b
-    a_vert = ax0 == ax1
-    b_vert = bx0 == bx1
-    if a_vert and b_vert:
-        if ax0 != bx0:
-            return False
-        lo_a, hi_a = sorted((ay0, ay1))
-        lo_b, hi_b = sorted((by0, by1))
-        return not (hi_a < lo_b or hi_b < lo_a)
-    if (not a_vert) and (not b_vert):
-        if ay0 != by0:
-            return False
-        lo_a, hi_a = sorted((ax0, ax1))
-        lo_b, hi_b = sorted((bx0, bx1))
-        return not (hi_a < lo_b or hi_b < lo_a)
-    if a_vert:
-        vx, (vlo, vhi) = ax0, sorted((ay0, ay1))
-        hy, (hlo, hhi) = by0, sorted((bx0, bx1))
-    else:
-        vx, (vlo, vhi) = bx0, sorted((by0, by1))
-        hy, (hlo, hhi) = ay0, sorted((ax0, ax1))
-    return hlo <= vx <= hhi and vlo <= hy <= vhi
+class Side(NamedTuple):
+    """One side of a boundary loop, exactly.
+
+    ``axis`` is 0 for a vertical side, whose ``line`` is its x, and 1 for a
+    horizontal one, whose ``line`` is its y; so ``point[axis]`` is the
+    coordinate across the side and ``point[1 - axis]`` the one along it.
+    ``lo < hi`` bound the span along the side, with ``lo_vertex`` and
+    ``hi_vertex`` the indices of the vertices at those ends.  ``inward`` is
+    the sign of the inward normal, and ``loop`` is 0 on the outer loop and
+    k + 1 on hole k.
+    """
+
+    axis: int
+    line: Fraction
+    lo: Fraction
+    hi: Fraction
+    lo_vertex: int
+    hi_vertex: int
+    inward: int
+    loop: int
 
 
-def _check_simple(verts: Sequence[Point]) -> None:
+def _walk_loop(verts: Sequence[Point], letters: Sequence[str], loop: int = 0,
+               hole: bool = False, offset: int = 0
+               ) -> tuple[list[Side], list[bool]]:
+    """Sides and vertex convexity of one loop, in letter order: side i runs
+    from vertex i to vertex i + 1, numbered from ``offset``.  On a hole the
+    turns and the inward (left) normals of the loop count reversed."""
     n = len(verts)
-    segs = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = (j - i == 1) or (i == 0 and j == n - 1)
-            if adjacent:
-                continue  # consecutive perpendicular sides share one vertex only
-            if _segments_intersect(segs[i], segs[j]):
-                raise SelfIntersecting(
-                    f"sides {i} and {j} touch or cross")
+    sign = -1 if hole else 1
+    sides, convex = [], []
+    for i, ch in enumerate(letters):
+        dx, dy = _STEP[ch]
+        pdx, pdy = _STEP[letters[i - 1]]
+        convex.append((pdx * dy - pdy * dx > 0) != hole)
+        axis = 0 if dx == 0 else 1
+        a, b = verts[i][1 - axis], verts[(i + 1) % n][1 - axis]
+        ends = [(a, offset + i), (b, offset + (i + 1) % n)]
+        (lo, lo_v), (hi, hi_v) = ends if a < b else ends[::-1]
+        sides.append(Side(axis, verts[i][axis], lo, hi, lo_v, hi_v,
+                          sign * (dx if axis else -dy), loop))
+    return sides, convex
+
+
+def _touch(a: Side, b: Side) -> bool:
+    """Whether two closed sides share a point."""
+    if a.axis == b.axis:
+        return a.line == b.line and a.lo <= b.hi and b.lo <= a.hi
+    return a.lo <= b.line <= a.hi and b.lo <= a.line <= b.hi
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +344,25 @@ class TilingCertificate:
         kq = -(-q_min // self.q) if self.q < q_min else 1
         return TilingCertificate(self.p * kp, self.q * kq,
                                  self.tile_count * kp * kq)
+
+
+@dataclass(frozen=True)
+class Boundary:
+    """Exact boundary model of a table: each loop walked once, outer first.
+
+    Vertices and sides share one numbering, loop by loop: side g starts at
+    vertex g.  ``convex[v]`` tells whether the table-interior angle at
+    vertex v is pi/2.
+    """
+
+    vertices: tuple[Point, ...]
+    convex: tuple[bool, ...]
+    sides: tuple[Side, ...]
+
+    def loop(self, k: int) -> tuple[list[Point], list[Side]]:
+        """Vertices and sides of loop k (0 outer, k + 1 hole k)."""
+        idx = [g for g, s in enumerate(self.sides) if s.loop == k]
+        return [self.vertices[g] for g in idx], [self.sides[g] for g in idx]
 
 
 @dataclass(frozen=True)
@@ -371,11 +409,20 @@ class VHTable:
             loops.append((self.hole_vertices(k), list(poly.word.letters), True))
         return loops
 
+    @functools.cached_property
+    def boundary(self) -> Boundary:
+        """The exact boundary model, built on first use and kept on the
+        instance."""
+        verts, convex, sides = [], [], []
+        for loop, (vs, letters, hole) in enumerate(self.boundary_loops()):
+            s, c = _walk_loop(vs, letters, loop, hole, len(verts))
+            verts += vs
+            convex += c
+            sides += s
+        return Boundary(tuple(verts), tuple(convex), tuple(sides))
+
     def all_vertices(self) -> list[Point]:
-        verts = self.outer_vertices()
-        for k in range(len(self.holes)):
-            verts.extend(self.hole_vertices(k))
-        return verts
+        return list(self.boundary.vertices)
 
     def with_certificate(self, cert: TilingCertificate | None) -> "VHTable":
         return VHTable(self.outer, self.holes, cert)
@@ -390,34 +437,26 @@ def build_table(outer: VHPolygon,
 
 
 def _validate_holes(table: VHTable) -> None:
-    outer, *holes = [verts for verts, _, _ in table.boundary_loops()]
-    outer_segs = _loop_segments(outer)
-    for verts in holes:
+    b = table.boundary
+    _, outer = b.loop(0)
+    holes = [b.loop(k + 1) for k in range(len(table.holes))]
+    for verts, sides in holes:
         for v in verts:
-            if _classify_exact(v, [outer]) is not PointLocation.INTERIOR:
+            if _classify_exact(v, outer) is not PointLocation.INTERIOR:
                 raise HolePlacement(
                     f"hole vertex {v} not strictly inside the outer polygon")
-        for s in _loop_segments(verts):
-            for t in outer_segs:
-                if _segments_intersect(s, t):
-                    raise HolePlacement("hole boundary touches the outer boundary")
+        if any(_touch(s, t) for s in sides for t in outer):
+            raise HolePlacement("hole boundary touches the outer boundary")
 
     for i in range(len(holes)):
         for j in range(i + 1, len(holes)):
-            for s in _loop_segments(holes[i]):
-                for t in _loop_segments(holes[j]):
-                    if _segments_intersect(s, t):
-                        raise HolePlacement(f"holes {i} and {j} touch")
-            if (_classify_exact(holes[i][0], [holes[j]])
-                    is PointLocation.INTERIOR
-                    or _classify_exact(holes[j][0], [holes[i]])
+            (verts_i, sides_i), (verts_j, sides_j) = holes[i], holes[j]
+            if any(_touch(s, t) for s in sides_i for t in sides_j):
+                raise HolePlacement(f"holes {i} and {j} touch")
+            if (_classify_exact(verts_i[0], sides_j) is PointLocation.INTERIOR
+                    or _classify_exact(verts_j[0], sides_i)
                     is PointLocation.INTERIOR):
                 raise HolePlacement(f"holes {i} and {j} are nested")
-
-
-def _loop_segments(verts: Sequence[Point]) -> list[tuple[Point, Point]]:
-    n = len(verts)
-    return [(verts[i], verts[(i + 1) % n]) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,50 +467,38 @@ def _loop_segments(verts: Sequence[Point]) -> list[tuple[Point, Point]]:
 # through x crosses the horizontal sides whose x-span [lo, hi) holds x.  The
 # half-open span counts a line through a vertex once, as if shifted slightly
 # to the right, so a point off the boundary is interior exactly when an odd
-# number of crossings lie above it.
+# number of crossings lie above it.  Every function here reads side records
+# of a table's boundary model.
 
-def _split_sides(loops: Sequence[Sequence[Point]]):
-    """Horizontal and vertical sides, each as (line coordinate, lo, hi)."""
-    horizontal, vertical = [], []
-    for verts in loops:
-        for (x0, y0), (x1, y1) in _loop_segments(verts):
-            if y0 == y1:
-                horizontal.append((y0, min(x0, x1), max(x0, x1)))
-            else:
-                vertical.append((x0, min(y0, y1), max(y0, y1)))
-    return horizontal, vertical
-
-
-def _crossings(x: Fraction, horizontal) -> list[Fraction]:
+def _crossings(x: Fraction, sides: Sequence[Side]) -> list[Fraction]:
     """Sorted heights where the vertical line through x crosses the
     horizontal sides, each side's x-span taken half-open."""
-    return sorted(y for y, lo, hi in horizontal if lo <= x < hi)
+    return sorted(s.line for s in sides if s.axis and s.lo <= x < s.hi)
 
 
-def _near_side(pt: Point, horizontal, vertical, tol) -> bool:
+def _near_side(pt: Point, sides: Sequence[Side], tol) -> bool:
     """Whether a side lies within distance ``tol`` of ``pt``, decided on
     exact squared distances; with ``tol`` 0, whether ``pt`` is on a side."""
-    x, y = pt
-    for across, along, sides in ((y, x, horizontal), (x, y, vertical)):
-        for c, lo, hi in sides:
-            if across == c and lo <= along <= hi:
+    for s in sides:
+        gap = pt[s.axis] - s.line
+        along = pt[1 - s.axis]
+        if gap == 0 and s.lo <= along <= s.hi:
+            return True
+        if tol and abs(gap) <= tol:
+            past = max(s.lo - along, along - s.hi, 0)
+            if gap ** 2 + past ** 2 <= tol ** 2:
                 return True
-            if tol and abs(across - c) <= tol:
-                past = max(lo - along, along - hi, 0)
-                if (across - c) ** 2 + past ** 2 <= tol ** 2:
-                    return True
     return False
 
 
-def _classify_exact(pt: Point, loops: Sequence[Sequence[Point]],
+def _classify_exact(pt: Point, sides: Sequence[Side],
                     tol=0) -> PointLocation:
-    """Exact classification; points within ``tol`` of a side are on the
-    boundary."""
-    horizontal, vertical = _split_sides(loops)
-    if _near_side(pt, horizontal, vertical, tol):
+    """Exact classification against ``sides``; points within ``tol`` of a
+    side are on the boundary."""
+    if _near_side(pt, sides, tol):
         return PointLocation.BOUNDARY
     x, y = pt
-    above = sum(1 for h in _crossings(x, horizontal) if h > y)
+    above = sum(1 for h in _crossings(x, sides) if h > y)
     return PointLocation.INTERIOR if above % 2 else PointLocation.EXTERIOR
 
 
@@ -480,12 +507,13 @@ def contains_point(table: VHTable, point: tuple) -> PointLocation:
 
     A float coordinate converts exactly to a ``Fraction``; a query with one
     counts as on the boundary within ``EPS_GEOM`` of a side (an exact squared
-    distance), while rational queries use no band at all.
+    distance), while rational queries use no band at all.  One pass over
+    the table's kept boundary model decides it.
     """
     px, py = point
     banded = isinstance(px, float) or isinstance(py, float)
-    loops = [verts for verts, _, _ in table.boundary_loops()]
-    return _classify_exact((_to_fraction(px), _to_fraction(py)), loops,
+    return _classify_exact((_to_fraction(px), _to_fraction(py)),
+                           table.boundary.sides,
                            Fraction(EPS_GEOM) if banded else 0)
 
 
@@ -498,8 +526,8 @@ def interior_cells(table: VHTable, p: int, q: int) -> np.ndarray:
     centre on a side is a boundary point and stays out.
     """
     (x0, y0), (x1, y1) = table.bbox
-    horizontal, vertical = _split_sides(
-        [verts for verts, _, _ in table.boundary_loops()])
+    horizontal = [s for s in table.boundary.sides if s.axis]
+    vertical = [s for s in table.boundary.sides if not s.axis]
     half = Fraction(1, 2)
 
     @functools.cache  # columns between two vertex abscissae share their runs
@@ -517,9 +545,9 @@ def interior_cells(table: VHTable, p: int, q: int) -> np.ndarray:
         heights = _crossings(xc, horizontal)
         for lo, hi in zip(heights[0::2], heights[1::2]):
             out[i, rows(lo, hi, closed=False)] = True
-        for c, lo, hi in vertical:
-            if c == xc:
-                out[i, rows(lo, hi, closed=True)] = False
+        for s in vertical:
+            if s.line == xc:
+                out[i, rows(s.lo, s.hi, closed=True)] = False
     return out
 
 

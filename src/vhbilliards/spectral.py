@@ -225,7 +225,7 @@ class QuadratureGrid:
     width: float
     height: float
     _classes: dict = field(default_factory=dict, repr=False)
-    # flowed four-label batch of one direction: (sides, theta, budget) and
+    # flowed four-label batch of one direction: (theta, budget) and
     # t -> (x, y, singular); see _flowed
     _flow_direction: tuple = field(default=(), repr=False)
     _flows: dict = field(default_factory=dict, repr=False)
@@ -262,32 +262,18 @@ class QuadratureGrid:
             self._classes[key] = (cls.astype(np.int64), mx * my)
         return self._classes[key]
 
-    def _flowed(self, table: VHTable, theta: float, t: float,
-                budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _flowed(self, theta: float, t: float, budget: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(x, y, singular)`` of the grid's four-label batch for
-        ``theta`` after one ``advance_to(t)`` from time 0.
-
-        States are kept for one direction, keyed exactly by the identity of
-        the table's side view, ``theta``, ``t`` and ``budget``; a new
-        direction drops the old one.  A state is not kept when the kept
-        points would pass ``BATCH_POINT_LIMIT``.  A later time is always
-        flowed from 0, never resumed from a kept earlier time, since stepping
-        through intermediate times rounds differently from one jump.
-
-        The kept states live as long as the grid: 17 bytes per point (two
-        float64 coordinates and a bool), so up to about 68 MB at
-        ``BATCH_POINT_LIMIT``.  They only pay off for consecutive calls in
-        one direction.
-        """
-        sides = sides_of(table)
+        ``theta`` after one ``advance_to(t)`` from time 0, kept as
+        :func:`correlation_chain_check` describes."""
         theta, t = float(theta), float(t)
-        d = self._flow_direction
-        if not (d and d[0] is sides and d[1] == theta and d[2] == budget):
+        if self._flow_direction != (theta, budget):
             self._flows.clear()
-            self._flow_direction = (sides, theta, budget)
+            self._flow_direction = (theta, budget)
         state = self._flows.get(t)
         if state is None:
-            batch = FlowBatch(sides, *_direction_batch(self, [theta]),
+            batch = FlowBatch(self.table, *_direction_batch(self, [theta]),
                               max_events=budget)
             batch.advance_to(t)
             state = (batch.x, batch.y, batch.singular)
@@ -534,6 +520,11 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     return c_out, dropped
 
 
+def _check_grid_table(table: VHTable, grid: QuadratureGrid) -> None:
+    if table != grid.table:
+        raise GridMismatch("the quadrature grid was built on another table")
+
+
 def correlation(table: VHTable, theta: float, h, t_grid: Sequence[float],
                 grid: QuadratureGrid | None = None, m: int | None = None,
                 budget: int = MAX_EVENTS,
@@ -542,12 +533,14 @@ def correlation(table: VHTable, theta: float, h, t_grid: Sequence[float],
 
     Grid points are flowed incrementally through the (increasing) time grid;
     orbits that reach a reflex corner are dropped and the mass renormalized,
-    aborting if the dropped fraction passes MAX_DROPPED_FRACTION.
+    aborting if the dropped fraction passes MAX_DROPPED_FRACTION.  A given
+    ``grid`` must belong to ``table`` (:class:`GridMismatch` otherwise).
     """
     if grid is None:
         if m is None:
             raise ValueError("pass a QuadratureGrid or a resolution m")
         grid = build_grid(table, m)
+    _check_grid_table(table, grid)
     width, height = box if box is not None else (grid.width, grid.height)
     h0 = _grid_values(h, grid, width, height)
     level = float(np.sum(h0) / grid.npts) ** 2
@@ -616,17 +609,20 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     The flowed factor is always evaluated analytically (trigonometric sums
     and their tile averages), while the unflowed factor uses grid samples.
 
+    ``grid`` must belong to ``table`` (:class:`GridMismatch` otherwise).
     The flow does not depend on ``h``, so the grid keeps the flowed points
-    of one direction: calls that repeat the table (the same instance),
-    ``theta``, ``t`` and ``budget`` on one grid flow once and read the kept
-    state, whatever their observable.  Each time is still flowed from 0 in
-    one jump, so every report is byte-identical to a cold call on a fresh
-    grid.  A new table, ``theta`` or ``budget`` drops the kept states, and
-    the kept points never pass ``BATCH_POINT_LIMIT``.  The kept states stay
-    with the grid for its lifetime, about 17 bytes per point (up to about
-    68 MB at ``BATCH_POINT_LIMIT``), and only save work for consecutive calls
-    that share the direction.
+    of one direction: calls that repeat ``theta``, ``t`` and ``budget`` on
+    one grid flow once and read the kept state, whatever their observable.
+    Each time is still flowed from 0 in one jump, never resumed from a kept
+    earlier time, so every report is byte-identical to a cold call on a
+    fresh grid.  A new ``theta`` or ``budget`` drops the kept states, and a
+    state that would take the kept points past ``BATCH_POINT_LIMIT`` is
+    flowed but not kept.  The kept states stay with the grid for its
+    lifetime, about 17 bytes per point (up to about 68 MB at
+    ``BATCH_POINT_LIMIT``), and only save work for consecutive calls that
+    share the direction.
     """
+    _check_grid_table(table, grid)
     if not grid.aligned_for(cert):
         raise UnalignedGrid("chain check needs a tile-aligned grid")
     h_vals = grid.evaluate(h)
@@ -638,7 +634,7 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     hd_fn = TileAverageObservable(h, table, cert)
 
     n = grid.npts
-    x, y, singular = grid._flowed(table, theta, t, budget)
+    x, y, singular = grid._flowed(theta, t, budget)
     alive = ~singular
     count = int(alive.sum())
     dropped_fraction = 1.0 - count / (4 * n)
@@ -650,9 +646,11 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     f_hd = hd_fn.evaluate(x, y)
     f_hc = f_h - f_hd
 
+    # one row per label: the unflowed values broadcast along the rows
+    alive_rows = alive.reshape(4, n)
+
     def term(fvals: np.ndarray, gvals: np.ndarray) -> float:
-        g = np.tile(gvals, 4)
-        return float(np.sum(fvals * g * alive) / count)
+        return float(np.sum(fvals.reshape(4, n) * gvals * alive_rows) / count)
 
     t_hh = term(f_h, h_vals)
     t_shift = term(f_hd - level_mean, h_vals)

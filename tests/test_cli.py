@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vhbilliards.cli import main
+from vhbilliards.errors import ConfigError
 from vhbilliards.geometry import (
     build_polygon,
     build_table,
@@ -116,6 +117,37 @@ class TestOrbit:
         out = json.loads(capsys.readouterr().out)
         assert out["terminated"] == "singular"
 
+    @pytest.mark.parametrize("x, y", [("5", "5"), ("0.5", "1.5"),
+                                      ("2.5", "2.5")])
+    def test_start_outside_exits_1(self, lshape_file, tmp_path, capsys, x, y):
+        csv_path = tmp_path / "orbit.csv"
+        code = main(["orbit", lshape_file, "--theta", "1.0", "--x", x,
+                     "--y", y, "--time", "5.0", "--csv", str(csv_path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "outside the table" in err["message"]
+        assert not csv_path.exists()
+
+    def test_start_in_hole_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "ring.json"
+        save_table(build_table(build_polygon("ENWS", [3, 3, 3, 3]),
+                               [(build_polygon("ENWS", [1, 1, 1, 1]),
+                                 (2, 2))]), path)
+        code = main(["orbit", str(path), "--theta", "1.0", "--x", "2.5",
+                     "--y", "2.5", "--time", "5.0"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_start_on_boundary_keeps_direction_rule(self, lshape_file,
+                                                    capsys):
+        # on the left side: inward velocity runs, outward velocity stalls
+        args = ["orbit", lshape_file, "--theta", "1.0", "--x", "1.0",
+                "--y", "1.5", "--time", "3.0"]
+        assert main(args) == 0
+        assert main(args + ["--sx", "-1"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "StalledState"
+
 
 class TestCorrelate:
     def test_matches_closed_form(self, square_file, tmp_path, capsys):
@@ -145,6 +177,37 @@ class TestCorrelate:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TooManySingular"
+
+    @pytest.mark.parametrize("tmax, step", [
+        ("10", "0"), ("10", "-1"), ("10", "nan"), ("10", "inf"),
+        ("-5", "0.5"), ("0.25", "0.5"), ("inf", "0.5"), ("nan", "0.5")])
+    def test_bad_step_or_tmax_exits_1(self, square_file, tmp_path, capsys,
+                                      tmax, step):
+        out_csv = tmp_path / "series.csv"
+        code = main(["correlate", square_file, "--theta", "1.0",
+                     "--h", "1,0", "--tmax", tmax, "--step", step,
+                     "--m", "4", "-o", str(out_csv)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert not out_csv.exists()
+
+    def test_tmax_equal_to_step_gives_one_row(self, square_file, tmp_path,
+                                              capsys):
+        out_csv = tmp_path / "series.csv"
+        assert main(["correlate", square_file, "--theta", "1.0",
+                     "--h", "1,0", "--tmax", "0.5", "--step", "0.5",
+                     "--m", "4", "-o", str(out_csv)]) == 0
+        assert len(out_csv.read_text().strip().splitlines()) == 2
+
+    def test_budget_defaults_to_library_budget(self, square_file):
+        from vhbilliards.cli import _build_parser
+        from vhbilliards.dynamics import MAX_EVENTS
+
+        args = _build_parser().parse_args(
+            ["correlate", square_file, "--theta", "1.0", "--h", "1,0",
+             "--tmax", "1", "--step", "0.5", "--m", "4"])
+        assert args.budget == MAX_EVENTS
 
 
 class TestThetaSweepCommand:
@@ -267,6 +330,26 @@ class TestGDeltaCommand:
         assert (tmp_path / "gd" / "gdelta.csv").exists()
         assert (tmp_path / "gd" / "gdelta_summary.json").exists()
 
+
+    @pytest.mark.parametrize("optional", [{}, {"seed": 3},
+                                          {"seed": 3, "theta_count": 5}])
+    def test_unset_options_take_library_defaults(self, tmp_path, capsys,
+                                                 monkeypatch, optional):
+        import vhbilliards.cli as cli
+
+        seen = {}
+
+        def fake_demo(*args, **kwargs):
+            seen.update(kwargs)
+            raise ConfigError("stop after the call")
+
+        monkeypatch.setattr(cli, "gdelta_demo", fake_demo)
+        config = {"word": "ENWS", "area_band": [0.5, 30], "q_list": [2],
+                  "j_max": 1, "n_list": [2], "grid_m": 4} | optional
+        cfg_path = tmp_path / "gd.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["gdelta-demo", str(cfg_path)]) == 1
+        assert seen == optional
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         config = {"word": "ENWS", "area_band": [0.5, 30], "q_list": [2],

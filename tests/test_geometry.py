@@ -114,13 +114,13 @@ def float_distance(loops, px, py):
 def per_centre_anchors(table, p, q):
     """Raster oracle: classify every (1/p, 1/q) cell centre on its own."""
     (x0, y0), (x1, y1) = table.bbox
-    loops = table_loops(table)
+    sides = table.boundary.sides
     anchors = []
     for j in range(int((y1 - y0) * q)):
         for i in range(int((x1 - x0) * p)):
             cx = x0 + Fraction(2 * i + 1, 2 * p)
             cy = y0 + Fraction(2 * j + 1, 2 * q)
-            if _classify_exact((cx, cy), loops) is PointLocation.INTERIOR:
+            if _classify_exact((cx, cy), sides) is PointLocation.INTERIOR:
                 anchors.append((x0 + Fraction(i, p), y0 + Fraction(j, q)))
     return anchors
 

@@ -1,8 +1,9 @@
 """Smoke test of the benchmark harness in ``perfbench/``.
 
 The traced run requires a span from every layer it lists, among them
-``dynamics.next_event`` and ``dynamics.prepare_sides``; this keeps a change
-to those code paths from breaking the benchmark unnoticed.
+``dynamics.next_event`` and, in every workload's set-up,
+``dynamics.prepare_sides``; running each workload once keeps a change to
+those code paths from breaking the benchmark unnoticed.
 """
 
 import json
@@ -10,12 +11,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_orbit_workload_runs():
+@pytest.mark.parametrize("workload", ["correlate-square", "sweep-lshape",
+                                      "chain-refined-lshape", "orbit-holed"])
+def test_traced_workload_runs(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "orbit-holed",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vhbilliards.dynamics import MAX_EVENTS, sides_of
+from vhbilliards.dynamics import MAX_EVENTS
 from vhbilliards.errors import (
     EventBudgetExceeded,
     GridMismatch,
@@ -138,6 +138,16 @@ class TestGrid:
         sampled = chi(square_grid)
         with pytest.raises(GridMismatch):
             inner(sampled, chi(lshape_grid), lshape_grid)
+
+    def test_correlation_rejects_another_tables_grid(self, square_grid):
+        h = Observable.cosine(1, 0)
+        with pytest.raises(GridMismatch):
+            correlation(lshape(), 1.0, h, [0.5, 1.0], grid=square_grid)
+        # an equal table built separately is the grid's table
+        series = correlation(unit_square(), 1.0, h, [0.5, 1.0],
+                             grid=square_grid)
+        assert np.array_equal(series.values, correlation(
+            square_grid.table, 1.0, h, [0.5, 1.0], grid=square_grid).values)
 
 
 class TestInner:
@@ -469,17 +479,25 @@ class TestChainFlowCache:
                          budget=call["budget"])
         assert repr(warm) == repr(cold)
 
-    def test_other_table_never_hits(self, lshape5):
+    def test_other_table_is_a_mismatch(self, lshape5):
         # the 2x2 square holds the L-shape's grid points but flows them
-        # differently; tables are told apart by their side views
+        # differently, so a grid only serves its own table
         square = build_table(build_polygon("ENWS", [2] * 4))
         grid = build_grid(lshape5, 20)
-        grid._flowed(lshape5, 1.0, 5.0, MAX_EVENTS)
-        warm = grid._flowed(square, 1.0, 5.0, MAX_EVENTS)
-        cold = build_grid(lshape5, 20)._flowed(square, 1.0, 5.0, MAX_EVENTS)
-        for a, b in zip(warm, cold):
-            assert np.array_equal(a, b)
-        assert grid._flow_direction[0] is sides_of(square)
+        h = basis_function(2)
+        correlation_chain_check(lshape5, lshape5.certificate, 1.0, h, 5.0,
+                                grid)
+        with pytest.raises(GridMismatch):
+            correlation_chain_check(square, tiling_parameters(square), 1.0,
+                                    h, 5.0, grid)
+        assert list(grid._flows) == [5.0]
+        # an equal table built separately is the grid's table
+        twin = approximate_pq(lshape(), 5, Fraction(1, 10))
+        assert twin is not lshape5
+        warm = correlation_chain_check(twin, twin.certificate, 1.0, h, 5.0,
+                                       grid)
+        assert repr(warm) == repr(self.cold(lshape5, lshape5.certificate,
+                                            1.0, h, 5.0))
 
     def test_small_budget_still_raises(self, lshape5):
         cert = lshape5.certificate
@@ -492,7 +510,7 @@ class TestChainFlowCache:
 
     def test_kept_arrays_are_read_only(self, lshape5):
         grid = build_grid(lshape5, 20)
-        for a in grid._flowed(lshape5, 1.0, 5.0, MAX_EVENTS):
+        for a in grid._flowed(1.0, 5.0, MAX_EVENTS):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[1]
@@ -513,7 +531,7 @@ class TestChainFlowCache:
         warm = correlation_chain_check(lshape5, cert, 1.0, h, 3.0, grid)
         assert repr(warm) == repr(self.cold(lshape5, cert, 1.0, h, 3.0))
         correlation_chain_check(lshape5, cert, 0.7, h, 2.0, grid)
-        assert grid._flow_direction[1:] == (0.7, MAX_EVENTS)
+        assert grid._flow_direction == (0.7, MAX_EVENTS)
         assert list(grid._flows) == [2.0]
 
 
