@@ -143,6 +143,8 @@ def _cmd_approximate(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    if not args.time >= 0:
+        raise ConfigError(f"--time must be nonnegative, got {args.time}")
     table = load_table(args.table)
     if contains_point(table, (args.x, args.y)) is PointLocation.EXTERIOR:
         raise ConfigError(

@@ -25,6 +25,7 @@ certificates never depend on floating-point luck.  Conventions:
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import hashlib
@@ -425,7 +426,14 @@ class VHTable:
         return list(self.boundary.vertices)
 
     def with_certificate(self, cert: TilingCertificate | None) -> "VHTable":
-        return VHTable(self.outer, self.holes, cert)
+        """This table carrying ``cert``.  The outer polygon and holes are the
+        same objects, so the copy skips hole validation and keeps the walked
+        boundary; the float side view is left behind, since its ``table`` is
+        this instance."""
+        table = copy.copy(self)
+        table.__dict__.pop("_sides", None)
+        object.__setattr__(table, "certificate", cert)
+        return table
 
 
 def build_table(outer: VHPolygon,

@@ -196,11 +196,12 @@ def _inside_mask(table: VHTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     s = sides_of(table)
     odd = np.zeros(xs.shape, dtype=bool)
     on_side = np.zeros(xs.shape, dtype=bool)
-    for c, lo, hi in zip(s.h_coord.tolist(), s.h_lo.tolist(), s.h_hi.tolist()):
-        odd ^= (xs >= lo) & (xs < hi) & (ys < c)
-        on_side |= (ys == c) & (xs >= lo) & (xs <= hi)
-    for c, lo, hi in zip(s.v_coord.tolist(), s.v_lo.tolist(), s.v_hi.tolist()):
-        on_side |= (xs == c) & (ys >= lo) & (ys <= hi)
+    for sign in (-1, 1):
+        for c, lo, hi, _ in s.groups[1, sign]:
+            odd ^= (xs >= lo) & (xs < hi) & (ys < c)
+            on_side |= (ys == c) & (xs >= lo) & (xs <= hi)
+        for c, lo, hi, _ in s.groups[0, sign]:
+            on_side |= (xs == c) & (ys >= lo) & (ys <= hi)
     return (odd | on_side).astype(np.float64)
 
 

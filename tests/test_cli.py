@@ -129,6 +129,18 @@ class TestOrbit:
         assert "outside the table" in err["message"]
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("time", ["-5", "nan"])
+    def test_negative_or_nan_time_exits_1(self, lshape_file, tmp_path,
+                                          capsys, time):
+        csv_path = tmp_path / "orbit.csv"
+        code = main(["orbit", lshape_file, "--theta", "1.0", "--x", "1.3",
+                     "--y", "1.4", "--time", time, "--csv", str(csv_path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "--time" in err["message"]
+        assert not csv_path.exists()
+
     def test_start_in_hole_exits_1(self, tmp_path, capsys):
         path = tmp_path / "ring.json"
         save_table(build_table(build_polygon("ENWS", [3, 3, 3, 3]),

@@ -241,6 +241,12 @@ class TestFlow:
         with pytest.raises(EventBudgetExceeded):
             flow(square, start, 100.0, max_events=10)
 
+    @pytest.mark.parametrize("t", [-5.0, math.nan])
+    def test_negative_or_nan_time_rejected(self, square, t):
+        start = PhasePoint(1.5, 1.5, DirectionState(1.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            flow(square, start, t)
+
     def test_direction_class_closure_many_events(self, lshape_table):
         state = PhasePoint(1.2345, 1.5432, DirectionState(0.8765))
         theta0 = state.direction.theta
@@ -298,6 +304,12 @@ class TestOrbit:
         for ev in hist.events:
             assert contains_point(lshape_table, (ev.x, ev.y)) \
                 is PointLocation.BOUNDARY
+
+    @pytest.mark.parametrize("t", [-5.0, math.nan])
+    def test_negative_or_nan_time_rejected(self, square, t):
+        start = PhasePoint(1.5, 1.5, DirectionState(1.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            orbit(square, start, max_time=t, max_events=100)
 
     def test_zero_event_budget_gives_empty_list(self, square):
         hist = orbit(square, PhasePoint(1.5, 1.5, DirectionState(1.0)),
@@ -438,6 +450,18 @@ class TestFlowBatch:
                           max_events=5)
         with pytest.raises(EventBudgetExceeded):
             batch.advance_to(50.0)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, square, target):
+        batch = FlowBatch(square, np.array([1.5, 1.2]), np.array([1.5, 1.7]),
+                          np.array([math.cos(1.0)] * 2),
+                          np.array([math.sin(1.0)] * 2), max_events=100)
+        batch.advance_to(0.5)
+        before = [getattr(batch, k).copy() for k in ("x", "y", "t", "events")]
+        with pytest.raises(ValueError, match="not finite"):
+            batch.advance_to(target)
+        for a, k in zip(before, ("x", "y", "t", "events")):
+            assert np.array_equal(getattr(batch, k), a), k
 
 
 class TestMeasurePreservation:

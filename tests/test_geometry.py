@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vhbilliards import geometry
+from vhbilliards.dynamics import sides_of
 from vhbilliards.errors import (
     BadAlphabet,
     ClosureViolated,
@@ -449,6 +451,22 @@ class TestApproximatePq:
             sums[ch] += ln
         assert sums["E"] == sums["W"] and sums["N"] == sums["S"]
         assert min(out.certificate.p, out.certificate.q) >= 4
+
+    def test_certified_copy_keeps_boundary_not_side_view(self, holed_table,
+                                                          monkeypatch):
+        old_view = sides_of(holed_table)
+        cert = tiling_parameters(holed_table)
+
+        def no_validation(table):
+            raise AssertionError("hole validation ran again")
+
+        monkeypatch.setattr(geometry, "_validate_holes", no_validation)
+        out = holed_table.with_certificate(cert)
+        assert out.certificate == cert and holed_table.certificate is None
+        assert out == holed_table
+        assert out.boundary is holed_table.boundary
+        assert sides_of(out).table is out
+        assert sides_of(holed_table) is old_view
 
     def test_hole_anchor_snapped(self, square_with_hole):
         out = approximate_pq(square_with_hole, 8, Fraction(1, 4))
