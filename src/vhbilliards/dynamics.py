@@ -438,11 +438,13 @@ class FlowBatch:
     results are bitwise independent of how points are grouped into batches
     or blocks.
 
-    The kernel works on blocks of ``_BLOCK_POINTS`` points, so a block's
-    temporaries stay in L2 (about 1 MiB) and the extra memory of
-    :meth:`advance_to` is one block plus 16 bytes per point, whatever the
-    side count.  A point tests only the two side groups of ``sides.groups``
-    it faces: a ray moving +x can first hit only vertical sides whose inward
+    The kernel works on blocks of ``_BLOCK_POINTS`` points.  Its
+    temporaries live in buffers of one block, allocated with the batch and
+    written in place (about 1.5 MiB, inside L2), so the rounds of
+    :meth:`advance_to` allocate nothing per block, and its extra memory is
+    8 bytes per point for the indices of the points due, whatever the side
+    count.  A point tests only the two side groups of ``sides.groups`` it
+    faces: a ray moving +x can first hit only vertical sides whose inward
     normal is -x, and likewise for -x and for +-y.  Ties go to the vertical
     side, and within a group to the lower side index, so a live point moves
     exactly as under a search of every side.  A point frozen at a reflex
@@ -470,21 +472,28 @@ class FlowBatch:
         g = self.sides.groups
         self._columns = (_column_pairs(g[0, -1], g[0, 1]),
                          _column_pairs(g[1, -1], g[1, 1]))
+        self._vertical = self.sides.axis == 0
+        self._work = _Workspace(min(n, _BLOCK_POINTS))
         for sl in _blocks(n):
             t_hit, side = self._recompute(self.x[sl], self.y[sl],
                                           self.vx[sl], self.vy[sl])
-            self.next_t[sl] = self.t[sl] + t_hit
+            np.add(self.t[sl], t_hit, out=self.next_t[sl])
             self.next_side[sl] = side
 
     def _recompute(self, x, y, vx, vy) -> tuple[np.ndarray, np.ndarray]:
-        """Time to and index of each ray's first side hit."""
-        tv, sv = _axis_hits(self._columns[0], x, y, vx, vy)
-        th, sh = _axis_hits(self._columns[1], y, x, vy, vx)
-        use_v = tv <= th
-        t_hit = np.where(use_v, tv, th)
-        if not np.isfinite(t_hit).all():
+        """Time to and index of each ray's first side hit, in the
+        workspace's ``th`` and ``sh`` rows."""
+        w = self._work
+        k = x.shape[0]
+        tv, th, sv, sh = w.tv[:k], w.th[:k], w.sv[:k], w.sh[:k]
+        _axis_hits(self._columns[0], x, y, vx, vy, tv, sv, w)
+        _axis_hits(self._columns[1], y, x, vy, vx, th, sh, w)
+        use_v = np.less_equal(tv, th, out=w.use_v[:k])
+        np.copyto(th, tv, where=use_v)
+        if not np.isfinite(th, out=w.finite[:k]).all():
             raise SingularOrbit("a batch point lost containment")
-        return t_hit, np.where(use_v, sv, sh)
+        np.copyto(sh, sv, where=use_v)
+        return th, sh
 
     def advance_to(self, t_target: float) -> None:
         if not math.isfinite(t_target):
@@ -492,63 +501,100 @@ class FlowBatch:
         now = np.min(self.t, where=~self.singular, initial=np.inf)
         if now < np.inf and t_target < now - 1e-12:
             raise ValueError("advance_to target precedes current batch time")
-        # the points due by t_target, found once and shrunk round by round
+        # the points due by t_target, found once; each round compacts the
+        # points still due to the front of the same array, in order
         due = np.flatnonzero((self.next_t <= t_target) & ~self.singular)
-        while due.size:
-            # rebinding due frees the last round's indices before the join
-            due = [self._process_events(due[sl], t_target)
-                   for sl in _blocks(due.size)]
-            due = np.concatenate(due)
+        count = due.size
+        while count:
+            kept = 0
+            for sl in _blocks(count):
+                idx = self._work.idx[:sl.stop - sl.start]
+                idx[...] = due[sl]
+                kept += self._process_events(idx, t_target, due[kept:])
+            count = kept
         # frozen points take a zero step, and the time is assigned rather
         # than accumulated, since t + (T - t) may not be T
+        w = self._work
         for sl in _blocks(self.x.shape[0]):
             frozen = self.singular[sl]
-            dt = np.where(frozen, 0.0, t_target - self.t[sl])
-            self.x[sl] += self.vx[sl] * dt
-            self.y[sl] += self.vy[sl] * dt
-            self.t[sl] = np.where(frozen, self.t[sl], t_target)
+            k = frozen.shape[0]
+            dt, step, live = w.dt[:k], w.line[:k], w.horiz[:k]
+            np.subtract(t_target, self.t[sl], out=dt)
+            np.copyto(dt, 0.0, where=frozen)
+            np.add(self.x[sl], np.multiply(self.vx[sl], dt, out=step),
+                   out=self.x[sl])
+            np.add(self.y[sl], np.multiply(self.vy[sl], dt, out=step),
+                   out=self.y[sl])
+            np.copyto(self.t[sl], t_target,
+                      where=np.logical_not(frozen, out=live))
 
-    def _process_events(self, idx: np.ndarray, t_target: float) -> np.ndarray:
+    def _process_events(self, idx: np.ndarray, t_target: float,
+                        out: np.ndarray) -> int:
         """Apply the cached next event of the points ``idx`` (one block) and
-        find their next events; returns the points still due by
-        ``t_target``."""
+        find their next events; writes the points still due by ``t_target``
+        to the front of ``out`` and returns their count."""
         s = self.sides
-        side = self.next_side[idx]
-        t = self.next_t[idx]
-        vx = self.vx[idx]
-        vy = self.vy[idx]
-        dt = t - self.t[idx]
-        hx = self.x[idx] + vx * dt
-        hy = self.y[idx] + vy * dt
-        vert = s.axis[side] == 0
+        w = self._work
+        k = idx.shape[0]
+        side, events, vid, other = (a[:k] for a in (w.side, w.events,
+                                                    w.vid, w.other))
+        t, vx, vy, hx, hy, dt, line, cross = (a[:k] for a in (
+            w.t, w.vx, w.vy, w.hx, w.hy, w.dt, w.line, w.cross))
+        vert, horiz, at_lo, corner, off_corner = (a[:k] for a in (
+            w.vert, w.horiz, w.at_lo, w.corner, w.off_corner))
+        convex, reflex, flip_x, flip_y = (a[:k] for a in (
+            w.convex, w.reflex, w.flip_x, w.flip_y))
+        take = _take_into
+        take(self.next_side, idx, side)
+        take(self.next_t, idx, t)
+        take(self.vx, idx, vx)
+        take(self.vy, idx, vy)
+        np.subtract(t, take(self.t, idx, dt), out=dt)
+        np.add(take(self.x, idx, hx), np.multiply(vx, dt, out=line), out=hx)
+        np.add(take(self.y, idx, hy), np.multiply(vy, dt, out=line), out=hy)
+        take(self._vertical, side, vert)
+        np.logical_not(vert, out=horiz)
         # re-project onto the exact side line
-        line = s.coord[side]
-        hx = np.where(vert, line, hx)
-        hy = np.where(vert, hy, line)
-        cross = np.where(vert, hy, hx)
-        at_lo = np.abs(cross - s.lo[side]) <= EPS_CORNER
-        corner = at_lo | (np.abs(cross - s.hi[side]) <= EPS_CORNER)
+        take(s.coord, side, line)
+        np.copyto(hx, line, where=vert)
+        np.copyto(hy, line, where=horiz)
+        np.copyto(cross, hx)
+        np.copyto(cross, hy, where=vert)
+        np.less_equal(np.abs(np.subtract(cross, take(s.lo, side, dt),
+                                         out=dt), out=dt),
+                      EPS_CORNER, out=at_lo)
+        np.less_equal(np.abs(np.subtract(cross, take(s.hi, side, dt),
+                                         out=dt), out=dt),
+                      EPS_CORNER, out=corner)
+        corner |= at_lo
         if corner.any():
             # convex corners flip both components and land exactly on the
             # vertex; reflex ones freeze the point
-            vid = np.where(at_lo, s.lo_vertex[side], s.hi_vertex[side])
-            convex = corner & s.vertex_convex[vid]
-            reflex = corner & ~convex
-            hx = np.where(convex, s.vertex_x[vid], hx)
-            hy = np.where(convex, s.vertex_y[vid], hy)
-            flip_x = (vert & ~corner) | convex
-            flip_y = ~(vert | corner) | convex
+            take(s.hi_vertex, side, vid)
+            np.copyto(vid, take(s.lo_vertex, side, other), where=at_lo)
+            np.logical_and(corner, take(s.vertex_convex, vid, convex),
+                           out=convex)
+            np.logical_and(corner, np.logical_not(convex, out=reflex),
+                           out=reflex)
+            np.copyto(hx, take(s.vertex_x, vid, line), where=convex)
+            np.copyto(hy, take(s.vertex_y, vid, line), where=convex)
+            np.logical_not(corner, out=off_corner)
+            np.logical_and(vert, off_corner, out=flip_x)
+            np.logical_and(horiz, off_corner, out=flip_y)
+            flip_x |= convex
+            flip_y |= convex
         else:
             reflex = corner
-            flip_x, flip_y = vert, ~vert
-        vx = np.where(flip_x, -vx, vx)
-        vy = np.where(flip_y, -vy, vy)
+            flip_x, flip_y = vert, horiz
+        np.negative(vx, out=vx, where=flip_x)
+        np.negative(vy, out=vy, where=flip_y)
         self.x[idx] = hx
         self.y[idx] = hy
         self.vx[idx] = vx
         self.vy[idx] = vy
         self.t[idx] = t
-        events = self.events[idx] + 1
+        take(self.events, idx, events)
+        events += 1
         self.events[idx] = events
         if events.max() > self.max_events:
             raise EventBudgetExceeded(
@@ -561,49 +607,92 @@ class FlowBatch:
         t += t_hit
         self.next_t[idx] = t
         self.next_side[idx] = side
-        return idx[t <= t_target]
+        still = np.less_equal(t, t_target, out=w.still[:t.shape[0]])
+        kept = np.count_nonzero(still)
+        np.compress(still, idx, out=out[:kept])
+        return kept
+
+
+class _Workspace:
+    """One kernel block's buffers, one named row per temporary.
+
+    :class:`FlowBatch` allocates them once, so a round's temporaries are
+    views of these rows (``row[:k]`` for a block of k points) and the
+    rounds allocate nothing per block: no memory is returned to and taken
+    back from the system between rounds.
+    """
+
+    FLOATS = ("t", "vx", "vy", "hx", "hy", "dt", "line", "cross",
+              "tv", "th", "at", "at_cross", "bound")
+    INTS = ("idx", "side", "events", "vid", "other", "sv", "sh", "lane",
+            "at_side")
+    BOOLS = ("vert", "horiz", "at_lo", "corner", "off_corner", "convex",
+             "reflex", "flip_x", "flip_y", "still", "use_v", "finite",
+             "ahead", "hit", "ok")
+
+    def __init__(self, size: int):
+        for names, dtype in ((self.FLOATS, np.float64),
+                             (self.INTS, np.int64), (self.BOOLS, bool)):
+            rows = np.empty((len(names), size), dtype=dtype)
+            for name, row in zip(names, rows):
+                setattr(self, name, row)
+
+
+def _take_into(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a[idx]`` written into ``out``; ``idx`` is in range, and a mode
+    other than ``raise`` keeps ``take`` from buffering its output."""
+    return np.take(a, idx, out=out, mode="clip")
 
 
 def _blocks(n: int) -> list[slice]:
-    return [slice(lo, lo + _BLOCK_POINTS)
+    return [slice(lo, min(lo + _BLOCK_POINTS, n))
             for lo in range(0, n, _BLOCK_POINTS)]
 
 
 def _column_pairs(ahead: list[tuple], behind: list[tuple]) -> list[tuple]:
-    """Column j pairs side j of ``ahead`` with side j of ``behind``, each as
-    ``(coord, lo, hi, side)`` with the span widened by ``EPS_CORNER``; the
-    shorter group is padded with a side no ray can hit."""
+    """Column j pairs side j of ``behind`` with side j of ``ahead``, as four
+    two-entry arrays (line coordinate, span widened by ``EPS_CORNER``, side
+    index) that a ray's lane, 0 behind and 1 ahead, indexes; the shorter
+    group is padded with a side no ray can hit."""
     never = (0.0, math.inf, -math.inf, -1)
     a, b = ([(c, lo - EPS_CORNER, hi + EPS_CORNER, s)
              for c, lo, hi, s in group] for group in (ahead, behind))
     width = max(len(a), len(b))
-    return list(zip(a + [never] * (width - len(a)),
-                    b + [never] * (width - len(b))))
+    return [(np.array([cb, ca]), np.array([lo_b, lo_a]),
+             np.array([hi_b, hi_a]), np.array([sb, sa], dtype=np.int64))
+            for (ca, lo_a, hi_a, sa), (cb, lo_b, hi_b, sb) in zip(
+                a + [never] * (width - len(a)),
+                b + [never] * (width - len(b)))]
 
 
-def _axis_hits(columns: list[tuple], p, q, vp, vq
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _axis_hits(columns: list[tuple], p, q, vp, vq, best, side,
+               w: _Workspace) -> None:
     """Earliest hit among one axis's sides, for rays at ``p`` (the coordinate
-    normal to those sides) and ``q`` with velocity ``(vp, vq)``.
+    normal to those sides) and ``q`` with velocity ``(vp, vq)``, written to
+    ``best`` (time) and ``side``.
 
     A ray with vp > 0 tests only the sides whose inward normal is negative,
-    the first entry of each column pair, and any other ray only the second.
-    The strict ``<`` keeps the lower side index on a tie.  No hit gives an
-    infinite time.
+    the ahead entry of each column, and any other ray only the behind
+    entry.  The strict ``<`` keeps the lower side index on a tie.  No hit
+    gives an infinite time.
     """
-    ahead = vp > 0
-    best = np.full(p.shape, np.inf)
-    side = np.full(p.shape, -1, dtype=np.int64)
-    for (ca, lo_a, hi_a, sa), (cb, lo_b, hi_b, sb) in columns:
-        t = (np.where(ahead, ca, cb) - p) / vp
-        cross = q + vq * t
-        hit = t > 0.0
-        hit &= cross >= np.where(ahead, lo_a, lo_b)
-        hit &= cross <= np.where(ahead, hi_a, hi_b)
-        hit &= t < best
-        best = np.where(hit, t, best)
-        side = np.where(hit, np.where(ahead, sa, sb), side)
-    return best, side
+    k = p.shape[0]
+    lane, t, cross, bound, at_side = (a[:k] for a in (
+        w.lane, w.at, w.at_cross, w.bound, w.at_side))
+    hit, ok = w.hit[:k], w.ok[:k]
+    np.copyto(lane, np.greater(vp, 0.0, out=w.ahead[:k]))
+    best.fill(np.inf)
+    side.fill(-1)
+    take = _take_into
+    for c, lo, hi, s in columns:
+        np.divide(np.subtract(take(c, lane, t), p, out=t), vp, out=t)
+        np.add(q, np.multiply(vq, t, out=cross), out=cross)
+        np.greater(t, 0.0, out=hit)
+        hit &= np.greater_equal(cross, take(lo, lane, bound), out=ok)
+        hit &= np.less_equal(cross, take(hi, lane, bound), out=ok)
+        hit &= np.less(t, best, out=ok)
+        np.copyto(best, t, where=hit)
+        np.copyto(side, take(s, lane, at_side), where=hit)
 
 
 # ---------------------------------------------------------------------------

@@ -218,11 +218,13 @@ class TestBlocks:
 
 
 class TestKernelMemory:
-    # bytes per point of one kernel block, and per point of the batch (two
-    # rounds of indices of the points due, 16 bytes, and slack); no term
-    # grows with the side count
-    BLOCK_POINT_BYTES = 256
-    POINT_BYTES = 24
+    # the kernel's temporaries live in buffers allocated with the batch, so
+    # advance_to's extra memory is per point of the batch (the indices of
+    # the points due, 8 bytes, the masks that find them, and slack) plus,
+    # per point of one block, the copies that drop the points frozen in a
+    # round; no term grows with the side count
+    BLOCK_POINT_BYTES = 64
+    POINT_BYTES = 16
 
     @pytest.mark.parametrize("m", [32, 64, 128])
     def test_advance_to_extra_peak_is_bounded(self, holed_table, m):
