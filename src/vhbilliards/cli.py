@@ -145,6 +145,9 @@ def _cmd_approximate(args) -> int:
 def _cmd_orbit(args) -> int:
     if not args.time >= 0:
         raise ConfigError(f"--time must be nonnegative, got {args.time}")
+    if args.max_events < 0:
+        raise ConfigError(
+            f"--max-events must be nonnegative, got {args.max_events}")
     table = load_table(args.table)
     if contains_point(table, (args.x, args.y)) is PointLocation.EXTERIOR:
         raise ConfigError(

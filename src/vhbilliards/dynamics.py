@@ -11,18 +11,25 @@ Corner policy: a vertex with table-interior angle pi/2 reflects by flipping
 both signs (the continuity limit); a reflex vertex (3*pi/2) has no continuous
 extension and terminates the orbit (``SingularOrbit``).
 
-Events are found on two paths that share this policy and ``EPS_CORNER``:
+Faced sides: every side is vertical or horizontal, so a ray moving +x can
+first meet only vertical sides whose inward normal is -x, and likewise for -x
+and for +-y.  A ray therefore scans two of the four (axis, inward sign)
+groups of its table's side view, ``SideTable.groups``, each in side order
+with its span widened by ``EPS_CORNER``.  The stalled-start test needs only
+those sides too: a side that a point leaves with outward velocity always
+faces the ray.  Ties go to the vertical group, then to the lower side index.
 
-* :func:`next_event` serves one point (:func:`flow`, :func:`orbit`).  It makes
-  a single pass over Python-float side rows that both rejects stalled starts
-  and finds the earliest hit; a corner hit comes back as data (the vertex
-  index), and the caller reads the vertex's convexity off the side view.
+Events are found on two paths that share this rule, the corner policy and
+``EPS_CORNER``:
+
+* :func:`next_event` serves one point (:func:`flow`, :func:`orbit`).  One
+  scan over the faced groups both rejects stalled starts and finds the
+  earliest hit; a corner hit comes back as data (the vertex index), and the
+  caller reads the vertex's convexity off the side view.
 * :class:`FlowBatch` serves arrays of points (the correlation sweeps) with a
   numpy kernel whose fixed cost per call dominates on a single point.  The
-  kernel works on L2-sized blocks of points and tests each point only
-  against the sides it can hit first, the two of the side view's four
-  (axis, inward sign) groups it faces; :class:`FlowBatch` states the block
-  rule, the tie order and what this means for frozen points.
+  kernel works on L2-sized blocks of points; :class:`FlowBatch` states the
+  block rule and what the faced-sides rule means for frozen points.
 
 On the holed table of the README (2-vCPU Xeon, Python 3.11, numpy 2.4) the
 scalar loop takes about 4 us per event and ``FlowBatch`` fed one point about
@@ -142,7 +149,9 @@ class SideTable:
     loop first, then each hole loop.  ``vertex_convex[v]`` refers to the
     table-interior angle (holes contribute reversed turns).  ``groups`` maps
     ``(axis, inward normal sign)`` to those sides, in side order, as
-    Python-float rows ``(coord, lo, hi, side)``.
+    Python-float rows ``(coord, lo - EPS_CORNER, hi + EPS_CORNER, side)``:
+    the layout every side scan reads (the faced-sides rule of the module
+    docstring).
     """
 
     table: VHTable
@@ -152,26 +161,10 @@ class SideTable:
     hi: np.ndarray
     lo_vertex: np.ndarray     # (S,) global vertex index at the low end
     hi_vertex: np.ndarray
-    inward_x: np.ndarray      # (S,) unit inward normal (one component zero)
-    inward_y: np.ndarray
     vertex_x: np.ndarray      # (V,)
     vertex_y: np.ndarray
     vertex_convex: np.ndarray  # (V,) bool
-
-    def __post_init__(self):
-        # Python-float rows for the scalar scan in next_event: normal and
-        # along coordinate indices, line coordinate, span widened by
-        # EPS_CORNER, inward normal sign; and the sides grouped by (axis,
-        # inward normal sign), each group in side order
-        self.rows = []
-        self.groups = {(a, sign): [] for a in (0, 1) for sign in (-1, 1)}
-        for s, (a, c, lo, hi, ix, iy) in enumerate(zip(
-                self.axis.tolist(), self.coord.tolist(), self.lo.tolist(),
-                self.hi.tolist(), self.inward_x.tolist(),
-                self.inward_y.tolist())):
-            self.rows.append((a, 1 - a, c, lo - EPS_CORNER, hi + EPS_CORNER,
-                              ix + iy))
-            self.groups[a, ix + iy].append((c, lo, hi, s))
+    groups: dict[tuple[int, int], list[tuple[float, float, float, int]]]
 
 
 def prepare_sides(table: VHTable) -> SideTable:
@@ -180,21 +173,23 @@ def prepare_sides(table: VHTable) -> SideTable:
     b = table.boundary
     axis, line, lo, hi, lo_v, hi_v, inward, _ = zip(*b.sides)
     vx, vy = zip(*b.vertices)
-    axis = np.array(axis, dtype=np.int8)
-    inward = np.array(inward, dtype=np.int8)
+    coord, lo, hi = (np.array(a, dtype=np.float64) for a in (line, lo, hi))
+    groups = {(a, sign): [] for a in (0, 1) for sign in (-1, 1)}
+    for s, (a, c, low, high, sign) in enumerate(zip(
+            axis, coord.tolist(), lo.tolist(), hi.tolist(), inward)):
+        groups[a, sign].append((c, low - EPS_CORNER, high + EPS_CORNER, s))
     return SideTable(
         table=table,
-        axis=axis,
-        coord=np.array(line, dtype=np.float64),
-        lo=np.array(lo, dtype=np.float64),
-        hi=np.array(hi, dtype=np.float64),
+        axis=np.array(axis, dtype=np.int8),
+        coord=coord,
+        lo=lo,
+        hi=hi,
         lo_vertex=np.array(lo_v, dtype=np.int64),
         hi_vertex=np.array(hi_v, dtype=np.int64),
-        inward_x=np.where(axis == 0, inward, 0).astype(np.int8),
-        inward_y=np.where(axis == 1, inward, 0).astype(np.int8),
         vertex_x=np.array(vx, dtype=np.float64),
         vertex_y=np.array(vy, dtype=np.float64),
         vertex_convex=np.array(b.convex, dtype=bool),
+        groups=groups,
     )
 
 
@@ -230,46 +225,47 @@ def next_event(table: VHTable | SideTable, state: PhasePoint
     hit point is the vertex itself.  Raises :class:`StalledState` for an
     axis-parallel velocity or a start on a side with outward velocity.
 
-    One pass over the sides does both jobs: the stalled-start test and the
-    earliest strictly-positive hit.  A point sitting exactly on a side line
-    gets t = 0 there and skips it, which makes restarting from a collision
-    well defined.
+    One scan over the faced sides (module docstring) does both jobs: the
+    stalled-start test and the earliest strictly-positive hit.  A point
+    sitting exactly on a side line gets t = 0 there and skips it, which
+    makes restarting from a collision well defined.
     """
     sides = sides_of(table)
     vx, vy = state.direction.velocity
     if vx == 0.0 or vy == 0.0:
         raise StalledState("velocity is axis-parallel; direction class "
                            "requires theta strictly inside (0, pi/2)")
-    p = (state.x, state.y)
-    v = (vx, vy)
+    x, y = state.x, state.y
     best_t = math.inf
-    best_side = -1
-    best_cross = 0.0
-    # a: coordinate normal to the side, b: coordinate along it
-    for s, (a, b, c, lo, hi, inward) in enumerate(sides.rows):
-        gap = c - p[a]
-        if abs(gap) <= EPS_CORNER and v[a] * inward < 0 and lo <= p[b] <= hi:
-            raise StalledState(
-                f"start point lies on side {s} with outward velocity")
-        t = gap / v[a]
-        if 0.0 < t < best_t:
-            cross = p[b] + v[b] * t
-            if lo <= cross <= hi:
-                best_t = t
-                best_side = s
-                best_cross = cross
-    if best_side < 0:
+    best = None
+    # a: coordinate normal to the group's sides, b: coordinate along them;
+    # the vertical group goes first and the strict < keeps earlier rows
+    for a, pa, pb, va, vb in ((0, x, y, vx, vy), (1, y, x, vy, vx)):
+        for row in sides.groups[a, -1 if va > 0 else 1]:
+            c, lo, hi, s = row
+            gap = c - pa
+            if abs(gap) <= EPS_CORNER and lo <= pb <= hi:
+                raise StalledState(
+                    f"start point lies on side {s} with outward velocity")
+            t = gap / va
+            if 0.0 < t < best_t:
+                cross = pb + vb * t
+                if lo <= cross <= hi:
+                    best_t = t
+                    best = a, row, cross
+    if best is None:
         raise SingularOrbit("ray found no boundary ahead; state is outside "
                             "the table or numerically lost")
-    for vert, end in ((sides.lo_vertex[best_side], sides.lo[best_side]),
-                      (sides.hi_vertex[best_side], sides.hi[best_side])):
-        if abs(best_cross - end) <= EPS_CORNER:
+    a, (c, _, _, s), cross = best
+    for vert, end in ((sides.lo_vertex[s], sides.lo[s]),
+                      (sides.hi_vertex[s], sides.hi[s])):
+        if abs(cross - end) <= EPS_CORNER:
             vert = int(vert)
             return ((float(sides.vertex_x[vert]), float(sides.vertex_y[vert])),
-                    best_side, best_t, vert)
-    a, _, c, _, _, _ = sides.rows[best_side]
-    hit = (c, best_cross) if a == 0 else (best_cross, c)
-    return hit, best_side, best_t, None
+                    s, best_t, vert)
+    # c is the row's float, shared by every hit on this side
+    hit = (c, cross) if a == 0 else (cross, c)
+    return hit, s, best_t, None
 
 
 @dataclass(slots=True)
@@ -310,8 +306,8 @@ class OrbitSegmentList:
 def flow(table: VHTable | SideTable, state: PhasePoint, t: float,
          max_events: int = MAX_EVENTS) -> PhasePoint:
     """Advance a phase point by total time ``t`` through its reflections."""
-    if not t >= 0:
-        raise ValueError(f"flow time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"flow time must be finite and nonnegative, got {t}")
     return _advance(sides_of(table), state, t, max_events, record=None)
 
 
@@ -319,17 +315,13 @@ def orbit(table: VHTable | SideTable, state: PhasePoint,
           max_time: float, max_events: int = MAX_EVENTS) -> OrbitSegmentList:
     """Record the orbit up to ``max_time`` or ``max_events`` collisions.
 
-    Unlike :func:`flow`, singular terminations are flagged instead of raised.
+    Unlike :func:`flow`, singular terminations and an exhausted budget are
+    flagged instead of raised, and ``max_time`` may be infinite.
     """
     if not max_time >= 0:
         raise ValueError(f"orbit time must be nonnegative, got {max_time}")
-    if max_time == 0 and max_events <= 0:
-        raise ValueError("need a positive time or event budget")
     sides = sides_of(table)
     rec = OrbitSegmentList(sides=sides, initial=state)
-    if max_events <= 0:
-        rec.final = state
-        return rec
     try:
         final = _advance(sides, state, max_time, max_events, record=rec)
         rec.final = final
@@ -347,6 +339,8 @@ def orbit(table: VHTable | SideTable, state: PhasePoint,
 
 def _advance(sides: SideTable, state: PhasePoint, t: float,
              max_events: int, record: OrbitSegmentList | None) -> PhasePoint:
+    if max_events < 0:
+        raise ValueError(f"event budget must be nonnegative, got {max_events}")
     x, y = state.x, state.y
     d = state.direction
     elapsed = 0.0
@@ -368,10 +362,10 @@ def _advance(sides: SideTable, state: PhasePoint, t: float,
         if vertex is not None:
             d = d.flip_both()
             s = -1
-        elif sides.rows[s][0] == 0:
-            d = d.flip_x()
-        else:
+        elif sides.axis[s]:
             d = d.flip_y()
+        else:
+            d = d.flip_x()
         elapsed += dt
         events += 1
         if record is not None:
@@ -443,14 +437,11 @@ class FlowBatch:
     written in place (about 1.5 MiB, inside L2), so the rounds of
     :meth:`advance_to` allocate nothing per block, and its extra memory is
     8 bytes per point for the indices of the points due, whatever the side
-    count.  A point tests only the two side groups of ``sides.groups`` it
-    faces: a ray moving +x can first hit only vertical sides whose inward
-    normal is -x, and likewise for -x and for +-y.  Ties go to the vertical
-    side, and within a group to the lower side index, so a live point moves
-    exactly as under a search of every side.  A point frozen at a reflex
-    vertex is the exception: such a search may meet the vertex through a
-    side that faces away from the ray, so a frozen point's ``x``, ``y`` and
-    ``t`` may differ from it in the last bits.
+    count.  A point tests only the sides it faces (module docstring), so a
+    live point moves exactly as under a search of every side.  A point
+    frozen at a reflex vertex is the exception: such a search may meet the
+    vertex through a side that faces away from the ray, so a frozen point's
+    ``x``, ``y`` and ``t`` may differ from it in the last bits.
     """
 
     def __init__(self, table: VHTable | SideTable,
@@ -651,18 +642,16 @@ def _blocks(n: int) -> list[slice]:
 
 def _column_pairs(ahead: list[tuple], behind: list[tuple]) -> list[tuple]:
     """Column j pairs side j of ``behind`` with side j of ``ahead``, as four
-    two-entry arrays (line coordinate, span widened by ``EPS_CORNER``, side
-    index) that a ray's lane, 0 behind and 1 ahead, indexes; the shorter
-    group is padded with a side no ray can hit."""
+    two-entry arrays (line coordinate, widened span, side index) that a
+    ray's lane, 0 behind and 1 ahead, indexes; the shorter group is padded
+    with a side no ray can hit."""
     never = (0.0, math.inf, -math.inf, -1)
-    a, b = ([(c, lo - EPS_CORNER, hi + EPS_CORNER, s)
-             for c, lo, hi, s in group] for group in (ahead, behind))
-    width = max(len(a), len(b))
+    width = max(len(ahead), len(behind))
     return [(np.array([cb, ca]), np.array([lo_b, lo_a]),
              np.array([hi_b, hi_a]), np.array([sb, sa], dtype=np.int64))
             for (ca, lo_a, hi_a, sa), (cb, lo_b, hi_b, sb) in zip(
-                a + [never] * (width - len(a)),
-                b + [never] * (width - len(b)))]
+                ahead + [never] * (width - len(ahead)),
+                behind + [never] * (width - len(behind)))]
 
 
 def _axis_hits(columns: list[tuple], p, q, vp, vq, best, side,
@@ -750,9 +739,10 @@ def orbit_to_svg(history: OrbitSegmentList, path,
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{fw * scale:.0f}" height="{fh * scale:.0f}">']
-    for verts, _letters, is_hole in table.boundary_loops():
+    for k in range(len(table.holes) + 1):
+        verts, _ = table.boundary.loop(k)
         pts = " ".join(pt(float(vx), float(vy)) for vx, vy in verts)
-        fill = "#ffffff" if is_hole else "#f2f2f2"
+        fill = "#ffffff" if k else "#f2f2f2"
         parts.append(f'<polygon points="{pts}" fill="{fill}" '
                      f'stroke="#333333" stroke-width="2"/>')
     path_pts = [pt(history.initial.x, history.initial.y)]

@@ -395,35 +395,21 @@ class VHTable:
         return self.outer.area - sum((h.area for h, _ in self.holes),
                                      Fraction(0))
 
-    def outer_vertices(self) -> list[Point]:
-        ax, ay = TABLE_ANCHOR
-        return [(v[0] + ax, v[1] + ay) for v in self.outer.vertices]
-
-    def hole_vertices(self, k: int) -> list[Point]:
-        poly, (ax, ay) = self.holes[k]
-        return [(v[0] + ax, v[1] + ay) for v in poly.vertices]
-
-    def boundary_loops(self) -> list[tuple[list[Point], list[str], bool]]:
-        """All boundary loops as (vertices, letters, is_hole)."""
-        loops = [(self.outer_vertices(), list(self.outer.word.letters), False)]
-        for k, (poly, _) in enumerate(self.holes):
-            loops.append((self.hole_vertices(k), list(poly.word.letters), True))
-        return loops
-
     @functools.cached_property
     def boundary(self) -> Boundary:
         """The exact boundary model, built on first use and kept on the
-        instance."""
+        instance: the outer polygon placed at ``TABLE_ANCHOR``, then each
+        hole at its anchor."""
         verts, convex, sides = [], [], []
-        for loop, (vs, letters, hole) in enumerate(self.boundary_loops()):
-            s, c = _walk_loop(vs, letters, loop, hole, len(verts))
+        loops = ((self.outer, TABLE_ANCHOR),) + self.holes
+        for loop, (poly, (ax, ay)) in enumerate(loops):
+            vs = [(x + ax, y + ay) for x, y in poly.vertices]
+            s, c = _walk_loop(vs, poly.word.letters, loop, loop > 0,
+                              len(verts))
             verts += vs
             convex += c
             sides += s
         return Boundary(tuple(verts), tuple(convex), tuple(sides))
-
-    def all_vertices(self) -> list[Point]:
-        return list(self.boundary.vertices)
 
     def with_certificate(self, cert: TilingCertificate | None) -> "VHTable":
         """This table carrying ``cert``.  The outer polygon and holes are the
@@ -576,7 +562,7 @@ def tiling_parameters(table: VHTable) -> TilingCertificate:
     """
     p = 1
     q = 1
-    for x, y in table.all_vertices():
+    for x, y in table.boundary.vertices:
         p = _lcm(p, x.denominator)
         q = _lcm(q, y.denominator)
     count = table.area * p * q
@@ -588,7 +574,7 @@ def lattice_fits(table: VHTable, p: int, q: int) -> bool:
     """Whether every vertex lies on the (1/p, 1/q) lattice."""
     return all(x.denominator <= p and p % x.denominator == 0
                and y.denominator <= q and q % y.denominator == 0
-               for x, y in table.all_vertices())
+               for x, y in table.boundary.vertices)
 
 
 def tile_anchors(table: VHTable, cert: TilingCertificate) -> list[Point]:
@@ -649,6 +635,18 @@ def _snap_polygon(poly: VHPolygon, q: int) -> VHPolygon:
     return build_polygon(poly.word, repaired)
 
 
+def parameter_distance(outer_a: VHPolygon, holes_a, outer_b: VHPolygon,
+                       holes_b) -> Fraction:
+    """Sup-norm distance between the parameters of two tables of the same
+    combinatorics, given as outer polygon and ``(polygon, anchor)`` holes:
+    outer lengths, hole lengths and hole anchors."""
+    d = max(abs(x - y) for x, y in zip(outer_a.lengths, outer_b.lengths))
+    for (pa, aa), (pb, ab) in zip(holes_a, holes_b):
+        d = max(d, max(abs(x - y) for x, y in zip(pa.lengths, pb.lengths)),
+                abs(aa[0] - ab[0]), abs(aa[1] - ab[1]))
+    return d
+
+
 def approximate_pq(table: VHTable, q_min: int, eta) -> VHTable:
     """Return a nearby table certified to tile with min(p, q) >= q_min.
 
@@ -675,12 +673,8 @@ def approximate_pq(table: VHTable, q_min: int, eta) -> VHTable:
         new_anchor = (_round_to_lattice(ax, q_min), _round_to_lattice(ay, q_min))
         new_holes.append((new_poly, new_anchor))
 
-    deviation = max(abs(a - b) for a, b in
-                    zip(new_outer.lengths, table.outer.lengths))
-    for (np_, na), (op, oa) in zip(new_holes, table.holes):
-        deviation = max(deviation,
-                        max(abs(a - b) for a, b in zip(np_.lengths, op.lengths)),
-                        abs(na[0] - oa[0]), abs(na[1] - oa[1]))
+    deviation = parameter_distance(table.outer, table.holes,
+                                   new_outer, new_holes)
     if deviation > eta:
         raise EtaTooSmall(
             f"snapping to the 1/{q_min} lattice moves a parameter by "

@@ -38,6 +38,7 @@ from .geometry import (
     build_polygon,
     build_table,
     load_table,
+    parameter_distance,
     table_hash,
     table_to_dict,
 )
@@ -313,15 +314,6 @@ class ContinuityReport:
     ratio: float     # max_delta / distance (0 when distance is 0)
 
 
-def _parameter_distance(a: VHTable, b: VHTable) -> Fraction:
-    d = max((abs(x - y) for x, y in zip(a.outer.lengths, b.outer.lengths)),
-            default=Fraction(0))
-    for (pa, aa), (pb, ab) in zip(a.holes, b.holes):
-        d = max(d, max(abs(x - y) for x, y in zip(pa.lengths, pb.lengths)))
-        d = max(d, abs(aa[0] - ab[0]), abs(aa[1] - ab[1]))
-    return d
-
-
 def _check_same_combinatorics(a: VHTable, b: VHTable) -> None:
     if a.outer.word != b.outer.word or len(a.holes) != len(b.holes):
         raise CombinatoricsMismatch(
@@ -350,7 +342,8 @@ def _probe_against(series_a, table_a: VHTable, table_b: VHTable,
 
     Callers probing many tables against one table_a compute series_a once.
     """
-    d = _parameter_distance(table_a, table_b)
+    d = parameter_distance(table_a.outer, table_a.holes,
+                           table_b.outer, table_b.holes)
     (x0, y0), (x1, y1) = table_a.bbox
     box = (float(x1 - x0), float(y1 - y0))
     series_b = correlation(table_b, theta, h, series_a.times, m=m, box=box)

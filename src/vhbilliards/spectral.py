@@ -189,19 +189,20 @@ def restrict(h, table: VHTable) -> RestrictedObservable:
 def _inside_mask(table: VHTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Closed-table indicator at float points (boundary counts as inside).
 
-    Vectorized form of the crossing rule of :mod:`geometry` on the table's
-    float sides: a point is inside when it lies on a side or an odd number of
-    horizontal sides whose x-span [lo, hi) holds it lie above it.
+    Vectorized form of the crossing rule of :mod:`geometry` on the side
+    view's arrays, whose spans are not widened: a point is inside when it
+    lies on a side or an odd number of horizontal sides whose x-span
+    [lo, hi) holds it lie above it.
     """
     s = sides_of(table)
     odd = np.zeros(xs.shape, dtype=bool)
     on_side = np.zeros(xs.shape, dtype=bool)
-    for sign in (-1, 1):
-        for c, lo, hi, _ in s.groups[1, sign]:
+    for axis, c, lo, hi in zip(s.axis.tolist(), s.coord.tolist(),
+                               s.lo.tolist(), s.hi.tolist()):
+        across, along = (ys, xs) if axis else (xs, ys)
+        if axis:
             odd ^= (xs >= lo) & (xs < hi) & (ys < c)
-            on_side |= (ys == c) & (xs >= lo) & (xs <= hi)
-        for c, lo, hi, _ in s.groups[0, sign]:
-            on_side |= (xs == c) & (ys >= lo) & (ys <= hi)
+        on_side |= (across == c) & (along >= lo) & (along <= hi)
     return (odd | on_side).astype(np.float64)
 
 

@@ -2,11 +2,24 @@ import numpy as np
 import pytest
 
 from vhbilliards.geometry import (
+    TABLE_ANCHOR,
     build_polygon,
     build_table,
     lshape,
     unit_square,
 )
+
+
+def walked_loops(table):
+    """Boundary loops as ``(vertices, letters, is_hole)``: the outer polygon
+    placed at ``TABLE_ANCHOR``, then each hole at its anchor.  Walked from
+    ``outer`` and ``holes`` directly, so oracles built on it do not read
+    ``VHTable.boundary``."""
+    placed = [(table.outer, TABLE_ANCHOR, False)]
+    placed += [(poly, anchor, True) for poly, anchor in table.holes]
+    return [([(x + ax, y + ay) for x, y in poly.vertices],
+             poly.word.letters, is_hole)
+            for poly, (ax, ay), is_hole in placed]
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """Tests of the exact boundary model (``VHTable.boundary``).
 
 Two oracles are kept here: the loop walk that built the float ``SideTable``
-directly from ``boundary_loops()`` with a letter -> inward-normal table, and
-the endpoint-pair segment intersection test that hole validation and polygon
-simplicity used.  The model and its readers must agree with both, and the
-exception messages of rejected polygons and holes are pinned.
+directly from the table's outer polygon, holes and anchors with a letter ->
+inward-normal table, and the endpoint-pair segment intersection test that
+hole validation and polygon simplicity used.  The model and its readers must
+agree with both, and the exception messages of rejected polygons and holes
+are pinned.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhbilliards.dynamics import prepare_sides, sides_of
+from vhbilliards.dynamics import EPS_CORNER, prepare_sides, sides_of
 from vhbilliards.errors import HolePlacement, SelfIntersecting
 from vhbilliards.geometry import (
     Side,
@@ -24,6 +25,8 @@ from vhbilliards.geometry import (
     lshape,
 )
 from vhbilliards.lab import random_table
+
+from conftest import walked_loops
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -39,13 +42,16 @@ _INWARD = {
 
 
 def walked_side_arrays(table):
-    """SideTable arrays from a direct walk of ``boundary_loops()``, with
-    ends ordered on their float values."""
+    """SideTable arrays from a direct walk of the table's loops, with ends
+    ordered on their float values, and its ``groups``: each side under the
+    (axis, sign) of its inward normal, in side order, with its span widened
+    by ``EPS_CORNER``."""
     cols = {k: [] for k in ("axis", "coord", "lo", "hi", "lo_vertex",
-                            "hi_vertex", "inward_x", "inward_y", "vertex_x",
-                            "vertex_y", "vertex_convex")}
+                            "hi_vertex", "vertex_x", "vertex_y",
+                            "vertex_convex")}
+    groups = {(a, sign): [] for a in (0, 1) for sign in (-1, 1)}
     offset = 0
-    for verts, letters, is_hole in table.boundary_loops():
+    for verts, letters, is_hole in walked_loops(table):
         n = len(verts)
         for i in range(n):
             cols["vertex_x"].append(float(verts[i][0]))
@@ -57,8 +63,6 @@ def walked_side_arrays(table):
         for i in range(n):
             a, b = verts[i], verts[(i + 1) % n]
             ix, iy = _INWARD[(is_hole, letters[i])]
-            cols["inward_x"].append(ix)
-            cols["inward_y"].append(iy)
             axis = 0 if letters[i] in "NS" else 1
             cols["axis"].append(axis)
             cols["coord"].append(float(a[axis]))
@@ -70,12 +74,13 @@ def walked_side_arrays(table):
             cols["hi"].append(eb)
             cols["lo_vertex"].append(ia)
             cols["hi_vertex"].append(ib)
+            groups[axis, ix + iy].append((float(a[axis]), ea - EPS_CORNER,
+                                          eb + EPS_CORNER, offset + i))
         offset += n
-    dtypes = {"axis": np.int8, "inward_x": np.int8, "inward_y": np.int8,
-              "lo_vertex": np.int64, "hi_vertex": np.int64,
+    dtypes = {"axis": np.int8, "lo_vertex": np.int64, "hi_vertex": np.int64,
               "vertex_convex": bool}
     return {k: np.array(v, dtype=dtypes.get(k, np.float64))
-            for k, v in cols.items()}
+            for k, v in cols.items()}, groups
 
 
 def segments_intersect(a, b):
@@ -118,10 +123,12 @@ class TestBoundaryModel:
         table = random_table(np.random.default_rng(seed),
                              hole_probability=0.6)
         sides = prepare_sides(table)
-        for name, want in walked_side_arrays(table).items():
+        arrays, groups = walked_side_arrays(table)
+        for name, want in arrays.items():
             got = getattr(sides, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
+        assert sides.groups == groups
 
     def test_holed_table_model(self, holed_table):
         b = holed_table.boundary
@@ -136,7 +143,8 @@ class TestBoundaryModel:
             for v, end in ((s.lo_vertex, s.lo), (s.hi_vertex, s.hi)):
                 assert b.vertices[v][s.axis] == s.line
                 assert b.vertices[v][1 - s.axis] == end
-        assert holed_table.all_vertices() == list(b.vertices)
+        assert list(b.vertices) == [v for verts, _, _ in
+                                    walked_loops(holed_table) for v in verts]
 
     def test_model_is_built_once_per_table(self, holed_table):
         assert holed_table.boundary is holed_table.boundary

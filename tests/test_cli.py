@@ -141,6 +141,27 @@ class TestOrbit:
         assert "--time" in err["message"]
         assert not csv_path.exists()
 
+    def test_negative_event_budget_exits_1(self, lshape_file, tmp_path,
+                                           capsys):
+        csv_path = tmp_path / "orbit.csv"
+        code = main(["orbit", lshape_file, "--theta", "1.0", "--x", "1.3",
+                     "--y", "1.4", "--time", "5", "--max-events", "-3",
+                     "--csv", str(csv_path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "--max-events" in err["message"]
+        assert not csv_path.exists()
+
+    def test_zero_event_budget_stops_at_first_collision(self, lshape_file,
+                                                        capsys):
+        code = main(["orbit", lshape_file, "--theta", "1.0", "--x", "1.3",
+                     "--y", "1.4", "--time", "5", "--max-events", "0"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["terminated"] == "budget"
+        assert out["events"] == 1 and out["total_time"] > 0
+
     def test_start_in_hole_exits_1(self, tmp_path, capsys):
         path = tmp_path / "ring.json"
         save_table(build_table(build_polygon("ENWS", [3, 3, 3, 3]),

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhbilliards.dynamics import (
     EPS_CORNER,
@@ -36,6 +38,9 @@ from vhbilliards.errors import (
     StalledState,
 )
 from vhbilliards.geometry import PointLocation, contains_point
+from vhbilliards.lab import random_table
+
+from conftest import walked_loops
 
 
 def fold_unit(x):
@@ -47,7 +52,7 @@ def fold_unit(x):
 def brute_force_first_hit(table, x, y, vx, vy):
     """Oracle: parametric intersection with every side, smallest t > 0."""
     best = (math.inf, None)
-    for verts, letters, _ in table.boundary_loops():
+    for verts, _, _ in walked_loops(table):
         n = len(verts)
         for i in range(n):
             ax, ay = float(verts[i][0]), float(verts[i][1])
@@ -67,6 +72,80 @@ def brute_force_first_hit(table, x, y, vx, vy):
                 if t > 1e-12 and min(ax, bx) <= hit_x <= max(ax, bx):
                     best = min(best, (t, (hit_x, ay)))
     return best
+
+
+def all_sides_next_event(sides, state):
+    """The scalar scan before side groups: one pass over every side in side
+    order, spans widened by ``EPS_CORNER``, ties to the lower side index."""
+    rows = [(a, 1 - a, c, lo - EPS_CORNER, hi + EPS_CORNER, side.inward)
+            for a, c, lo, hi, side in zip(
+                sides.axis.tolist(), sides.coord.tolist(), sides.lo.tolist(),
+                sides.hi.tolist(), sides.table.boundary.sides)]
+    vx, vy = state.direction.velocity
+    if vx == 0.0 or vy == 0.0:
+        raise StalledState("axis-parallel velocity")
+    p = (state.x, state.y)
+    v = (vx, vy)
+    best_t, best_side, best_cross = math.inf, -1, 0.0
+    for s, (a, b, c, lo, hi, inward) in enumerate(rows):
+        gap = c - p[a]
+        if abs(gap) <= EPS_CORNER and v[a] * inward < 0 and lo <= p[b] <= hi:
+            raise StalledState(f"start point lies on side {s}")
+        t = gap / v[a]
+        if 0.0 < t < best_t:
+            cross = p[b] + v[b] * t
+            if lo <= cross <= hi:
+                best_t, best_side, best_cross = t, s, cross
+    if best_side < 0:
+        raise SingularOrbit("no boundary ahead")
+    for vert, end in ((sides.lo_vertex[best_side], sides.lo[best_side]),
+                      (sides.hi_vertex[best_side], sides.hi[best_side])):
+        if abs(best_cross - end) <= EPS_CORNER:
+            vert = int(vert)
+            return ((float(sides.vertex_x[vert]), float(sides.vertex_y[vert])),
+                    best_side, best_t, vert)
+    a, _, c, _, _, _ = rows[best_side]
+    hit = (c, best_cross) if a == 0 else (best_cross, c)
+    return hit, best_side, best_t, None
+
+
+def random_direction(rng):
+    return DirectionState(float(rng.uniform(0.05, math.pi / 2 - 0.05)),
+                          *(int(v) for v in rng.choice((-1, 1), size=2)))
+
+
+def next_event_starts(table, rng, count=20):
+    """Phase points of three kinds, ``count`` each: interior starts, rays
+    aimed at a vertex from inside, and starts on a side (or at a vertex)
+    with a random velocity, so inward and outward both occur."""
+    (x0, y0), (x1, y1) = (tuple(map(float, c)) for c in table.bbox)
+    loops = [[(float(x), float(y)) for x, y in verts]
+             for verts, _, _ in walked_loops(table)]
+    corners = [v for verts in loops for v in verts]
+    edges = [(verts[i], verts[(i + 1) % len(verts)])
+             for verts in loops for i in range(len(verts))]
+    starts = []
+    while len(starts) < count:
+        x, y = x0 + (x1 - x0) * rng.random(), y0 + (y1 - y0) * rng.random()
+        if contains_point(table, (x, y)) is PointLocation.INTERIOR:
+            starts.append(PhasePoint(x, y, random_direction(rng)))
+    while len(starts) < 2 * count:
+        (cx, cy) = corners[int(rng.integers(len(corners)))]
+        d = random_direction(rng)
+        vx, vy = d.velocity
+        back = rng.uniform(0.01, 1.0) * (x1 - x0)
+        x, y = cx - vx * back, cy - vy * back
+        if contains_point(table, (x, y)) is PointLocation.INTERIOR:
+            starts.append(PhasePoint(x, y, d))
+    while len(starts) < 3 * count:
+        (ax, ay), (bx, by) = edges[int(rng.integers(len(edges)))]
+        u = rng.choice([0.0, 1.0, rng.random()])
+        if ax == bx:
+            x, y = ax, ay + (by - ay) * u
+        else:
+            x, y = ax + (bx - ax) * u, ay
+        starts.append(PhasePoint(x, y, random_direction(rng)))
+    return starts
 
 
 class TestDirectionState:
@@ -138,6 +217,59 @@ class TestNextEvent:
                 assert abs(t - t_oracle) < 1e-9
                 assert abs(hx - point[0]) < 1e-9 and abs(hy - point[1]) < 1e-9
                 checked += 1
+
+
+class TestFacedSides:
+    """``next_event`` scans only the faced sides; the all-sides scan it
+    replaced is the oracle.
+
+    A corner hit may name either side meeting at the vertex.  At a convex
+    vertex the time matches too; at a reflex vertex the oracle may reach
+    the vertex through a side facing away from the ray, so there the time
+    is the time to the named side's line, which may differ in the last
+    bits, as it may for ``FlowBatch``.
+    """
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_all_sides_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, hole_probability=0.6)
+        sides = sides_of(table)
+        for state in next_event_starts(table, rng):
+            try:
+                want = all_sides_next_event(sides, state)
+            except (StalledState, SingularOrbit) as err:
+                with pytest.raises(type(err)):
+                    next_event(table, state)
+                continue
+            got = next_event(table, state)
+            point, side, t, vertex = got
+            if vertex is not None and side != want[1]:
+                assert vertex in (sides.lo_vertex[side],
+                                  sides.hi_vertex[side])
+                a = int(sides.axis[side])
+                gap = float(sides.coord[side]) - (state.x, state.y)[a]
+                assert t == gap / state.direction.velocity[a]
+                if sides.vertex_convex[vertex]:
+                    assert t == want[2]
+                got = (point, want[1], want[2], vertex)
+            assert got == want
+
+    @pytest.mark.parametrize("x, velocity, vertical, horizontal", [
+        (1.25, (0.75, 0.5), 1, 2),    # north-east corner
+        (1.75, (-0.75, 0.5), 3, 2),   # north-west corner
+    ])
+    def test_exact_tie_goes_to_vertical_side(self, square, x, velocity,
+                                             vertical, horizontal):
+        # dyadic velocities reach both side lines at t = 1 exactly
+        state = PhasePoint(x, 1.5, SimpleNamespace(velocity=velocity))
+        point, side, t, vertex = next_event(square, state)
+        assert (side, t) == (vertical, 1.0)
+        assert vertex in (sides_of(square).lo_vertex[horizontal],
+                          sides_of(square).hi_vertex[horizontal])
+        batch = FlowBatch(square, [x], [1.5], [velocity[0]], [velocity[1]])
+        assert (batch.next_side[0], batch.next_t[0]) == (vertical, 1.0)
 
 
 class TestStalledState:
@@ -247,6 +379,11 @@ class TestFlow:
         with pytest.raises(ValueError, match="nonnegative"):
             flow(square, start, t)
 
+    def test_infinite_time_rejected(self, square):
+        start = PhasePoint(1.5, 1.5, DirectionState(1.0))
+        with pytest.raises(ValueError, match="finite"):
+            flow(square, start, math.inf, max_events=10)
+
     def test_direction_class_closure_many_events(self, lshape_table):
         state = PhasePoint(1.2345, 1.5432, DirectionState(0.8765))
         theta0 = state.direction.theta
@@ -311,10 +448,33 @@ class TestOrbit:
         with pytest.raises(ValueError, match="nonnegative"):
             orbit(square, start, max_time=t, max_events=100)
 
-    def test_zero_event_budget_gives_empty_list(self, square):
+    def test_zero_event_budget_ends_at_first_collision(self, square):
         hist = orbit(square, PhasePoint(1.5, 1.5, DirectionState(1.0)),
                      max_time=10.0, max_events=0)
-        assert hist.events == []
+        assert hist.terminated == "budget"
+        assert len(hist.events) == 1 and hist.final is None
+        assert hist.total_time == hist.events[0].time
+
+    @pytest.mark.parametrize("max_time", [0.0, 0.25])
+    def test_zero_event_budget_without_collision_finishes(self, square,
+                                                          max_time):
+        start = PhasePoint(1.5, 1.5, DirectionState(1.0))
+        hist = orbit(square, start, max_time=max_time, max_events=0)
+        assert hist.terminated is None and hist.events == []
+        assert hist.total_time == max_time
+        assert hist.final == flow(square, start, max_time)
+
+    def test_infinite_time_runs_to_budget(self, square):
+        hist = orbit(square, PhasePoint(1.5, 1.5, DirectionState(1.0)),
+                     max_time=math.inf, max_events=5)
+        assert hist.terminated == "budget"
+        assert len(hist.events) == 6
+
+    @pytest.mark.parametrize("run", [flow, orbit])
+    def test_negative_event_budget_rejected(self, square, run):
+        start = PhasePoint(1.5, 1.5, DirectionState(1.0))
+        with pytest.raises(ValueError, match="budget"):
+            run(square, start, 5.0, max_events=-3)
 
     def test_singular_orbit_is_flagged(self, lshape_table):
         hist = orbit(lshape_table, PhasePoint(1.5, 1.5,

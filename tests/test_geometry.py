@@ -48,6 +48,8 @@ from vhbilliards.geometry import (
 )
 from vhbilliards.lab import random_table
 
+from conftest import walked_loops
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -95,8 +97,7 @@ def ray_cast(loops, px, py):
 
 
 def table_loops(table):
-    return [table.outer_vertices()] + [table.hole_vertices(k)
-                                       for k in range(len(table.holes))]
+    return [verts for verts, _, _ in walked_loops(table)]
 
 
 def float_distance(loops, px, py):
@@ -307,9 +308,7 @@ class TestContainsPoint:
             is PointLocation.EXTERIOR
 
     def test_matches_ray_cast_oracle(self, lshape_table, rng):
-        loops = [lshape_table.outer_vertices()]
-        for k in range(len(lshape_table.holes)):
-            loops.append(lshape_table.hole_vertices(k))
+        loops = table_loops(lshape_table)
         for _ in range(300):
             px = 0.5 + 3.0 * rng.random()
             py = 0.5 + 3.0 * rng.random()
@@ -506,7 +505,7 @@ class TestSerialization:
 
     def test_anchor_convention(self, square):
         assert square.bbox[0] == TABLE_ANCHOR
-        assert square.outer_vertices()[0] == (1, 1)
+        assert square.boundary.vertices[0] == (1, 1)
 
 
 def test_stock_tables():

@@ -27,3 +27,12 @@ def test_traced_workload_runs(workload):
     assert '"failed": 0' in proc.stdout
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert record["failed"] == 0
+
+
+def test_selftest_passes():
+    """The harness's own unit tests: span and self-time arithmetic and the
+    metric names."""
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -49,6 +49,8 @@ from vhbilliards.spectral import (
     tile_average,
 )
 
+from conftest import walked_loops
+
 
 @pytest.fixture(scope="module")
 def square_grid():
@@ -203,8 +205,9 @@ class TestRestrict:
             xs = float(x0) - 0.2 + (float(x1 - x0) + 0.4) * rng.random(400)
             ys = float(y0) - 0.2 + (float(y1 - y0) + 0.4) * rng.random(400)
             # keep points away from every vertex and side line
-            lines_x = [float(x) for x, _ in table.all_vertices()]
-            lines_y = [float(y) for _, y in table.all_vertices()]
+            verts = [v for loop, _, _ in walked_loops(table) for v in loop]
+            lines_x = [float(x) for x, _ in verts]
+            lines_y = [float(y) for _, y in verts]
             away = np.ones(xs.shape, dtype=bool)
             for c in lines_x:
                 away &= np.abs(xs - c) > 1e-6
