@@ -228,7 +228,9 @@ def next_event(table: VHTable | SideTable, state: PhasePoint
     One scan over the faced sides (module docstring) does both jobs: the
     stalled-start test and the earliest strictly-positive hit.  A point
     sitting exactly on a side line gets t = 0 there and skips it, which
-    makes restarting from a collision well defined.
+    makes restarting from a collision well defined.  A side facing away is
+    never scanned, so a start within ``EPS_CORNER`` behind one (a vertex
+    rounded just outside the table) passes it as if it sat on its line.
     """
     sides = sides_of(table)
     vx, vy = state.direction.velocity

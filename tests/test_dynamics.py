@@ -76,7 +76,14 @@ def brute_force_first_hit(table, x, y, vx, vy):
 
 def all_sides_next_event(sides, state):
     """The scalar scan before side groups: one pass over every side in side
-    order, spans widened by ``EPS_CORNER``, ties to the lower side index."""
+    order, spans widened by ``EPS_CORNER``, ties to the lower side index.
+
+    A start within the ``EPS_CORNER`` band of a side (line and widened span)
+    counts as on it: outward velocity stalls, inward velocity passes the
+    side.  Without the second half a start rounded just behind a side, such
+    as a vertex rebuilt as ``a + (b - a) * 1.0``, would "hit" that side from
+    outside at t <= ``EPS_CORNER`` / |v|, which is the ray entering the
+    table, not a collision."""
     rows = [(a, 1 - a, c, lo - EPS_CORNER, hi + EPS_CORNER, side.inward)
             for a, c, lo, hi, side in zip(
                 sides.axis.tolist(), sides.coord.tolist(), sides.lo.tolist(),
@@ -89,8 +96,10 @@ def all_sides_next_event(sides, state):
     best_t, best_side, best_cross = math.inf, -1, 0.0
     for s, (a, b, c, lo, hi, inward) in enumerate(rows):
         gap = c - p[a]
-        if abs(gap) <= EPS_CORNER and v[a] * inward < 0 and lo <= p[b] <= hi:
-            raise StalledState(f"start point lies on side {s}")
+        if abs(gap) <= EPS_CORNER and lo <= p[b] <= hi:
+            if v[a] * inward < 0:
+                raise StalledState(f"start point lies on side {s}")
+            continue
         t = gap / v[a]
         if 0.0 < t < best_t:
             cross = p[b] + v[b] * t
