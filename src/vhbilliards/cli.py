@@ -177,6 +177,8 @@ def _cmd_correlate(args) -> int:
         raise ConfigError(
             f"--tmax must be finite and at least --step {args.step}, "
             f"got {args.tmax}")
+    if args.budget < 0:
+        raise ConfigError(f"--budget must be nonnegative, got {args.budget}")
     table = load_table(args.table)
     h = _parse_h(args.h)
     grid = build_grid(table, args.m)

@@ -444,12 +444,25 @@ class FlowBatch:
     frozen at a reflex vertex is the exception: such a search may meet the
     vertex through a side that faces away from the ray, so a frozen point's
     ``x``, ``y`` and ``t`` may differ from it in the last bits.
+
+    Targets never go back: each :meth:`advance_to` target must be at least
+    the batch's latest one, ``target`` (0 at the start), or the call raises
+    ``ValueError``.  A plain call moves every live point to the target.  A
+    call with ``out=(x, y)``, two float64 arrays of one value per point,
+    applies the same events but writes the positions at the target into
+    ``out`` and leaves every point at its last event, so a later call on
+    the batch is bit-identical to one jump from 0: the move to the target
+    is the only step that depends on where a jump ends, and every other
+    step is elementwise.
     """
 
     def __init__(self, table: VHTable | SideTable,
                  x: np.ndarray, y: np.ndarray,
                  vx: np.ndarray, vy: np.ndarray,
                  max_events: int = MAX_EVENTS):
+        if max_events < 0:
+            raise ValueError(
+                f"event budget must be nonnegative, got {max_events}")
         self.sides = sides_of(table)
         self.x = np.array(x, dtype=np.float64)
         self.y = np.array(y, dtype=np.float64)
@@ -460,6 +473,7 @@ class FlowBatch:
         self.singular = np.zeros(n, dtype=bool)
         self.events = np.zeros(n, dtype=np.int64)
         self.max_events = max_events
+        self.target = 0.0
         self.next_t = np.empty(n)
         self.next_side = np.empty(n, dtype=np.int64)
         g = self.sides.groups
@@ -488,12 +502,17 @@ class FlowBatch:
         np.copyto(sh, sv, where=use_v)
         return th, sh
 
-    def advance_to(self, t_target: float) -> None:
+    def advance_to(self, t_target: float,
+                   out: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """Apply every event up to ``t_target``, then move the points to it,
+        or with ``out`` write their positions at ``t_target`` there and leave
+        them at their last event (class docstring)."""
         if not math.isfinite(t_target):
             raise ValueError(f"advance_to target {t_target} is not finite")
-        now = np.min(self.t, where=~self.singular, initial=np.inf)
-        if now < np.inf and t_target < now - 1e-12:
-            raise ValueError("advance_to target precedes current batch time")
+        if t_target < self.target:
+            raise ValueError(f"advance_to target {t_target} precedes the "
+                             f"batch's latest target {self.target}")
+        self.target = t_target
         # the points due by t_target, found once; each round compacts the
         # points still due to the front of the same array, in order
         due = np.flatnonzero((self.next_t <= t_target) & ~self.singular)
@@ -505,8 +524,15 @@ class FlowBatch:
                 idx[...] = due[sl]
                 kept += self._process_events(idx, t_target, due[kept:])
             count = kept
-        # frozen points take a zero step, and the time is assigned rather
-        # than accumulated, since t + (T - t) may not be T
+        self._move_to(t_target, out)
+
+    def _move_to(self, t_target: float,
+                 out: tuple[np.ndarray, np.ndarray] | None) -> None:
+        """The final move of :meth:`advance_to`: ``x + vx * (t_target - t)``,
+        with a zero step for frozen points, into ``out`` or, without it, into
+        the batch, whose live points then take the time ``t_target``
+        (assigned rather than accumulated, since t + (T - t) may not be T)."""
+        x_out, y_out = (self.x, self.y) if out is None else out
         w = self._work
         for sl in _blocks(self.x.shape[0]):
             frozen = self.singular[sl]
@@ -515,11 +541,12 @@ class FlowBatch:
             np.subtract(t_target, self.t[sl], out=dt)
             np.copyto(dt, 0.0, where=frozen)
             np.add(self.x[sl], np.multiply(self.vx[sl], dt, out=step),
-                   out=self.x[sl])
+                   out=x_out[sl])
             np.add(self.y[sl], np.multiply(self.vy[sl], dt, out=step),
-                   out=self.y[sl])
-            np.copyto(self.t[sl], t_target,
-                      where=np.logical_not(frozen, out=live))
+                   out=y_out[sl])
+            if out is None:
+                np.copyto(self.t[sl], t_target,
+                          where=np.logical_not(frozen, out=live))
 
     def _process_events(self, idx: np.ndarray, t_target: float,
                         out: np.ndarray) -> int:

@@ -52,25 +52,32 @@ BATCH_POINT_LIMIT = 4_000_000
 def _eval_trig(coeffs: Sequence[tuple[int, int, complex]],
                xs: np.ndarray, ys: np.ndarray,
                width: float, height: float) -> np.ndarray:
-    """Real part of a Hermitian trigonometric sum, via one rep per +/- pair."""
+    """Real part of a Hermitian trigonometric sum, via one rep per +/- pair.
+
+    Each term's phase and its cosine or sine are written into two scratch
+    arrays, then scaled and summed in place, so a term allocates nothing.
+    """
     out = np.zeros_like(np.asarray(xs, dtype=np.float64))
+    phase, wave = np.empty_like(out), np.empty_like(out)
     for kx, ky, c in coeffs:
         if kx == 0 and ky == 0:
             out += c.real
             continue
         if (kx, ky) < (0, 0) or (kx, ky) < (-kx, -ky):
             continue  # handled through its mirror partner
-        if kx and ky:
-            phase = (2.0 * math.pi * kx / width) * xs \
-                + (2.0 * math.pi * ky / height) * ys
-        elif kx:
-            phase = (2.0 * math.pi * kx / width) * xs
+        if kx:
+            np.multiply(2.0 * math.pi * kx / width, xs, out=phase)
+            if ky:
+                phase += np.multiply(2.0 * math.pi * ky / height, ys,
+                                     out=wave)
         else:
-            phase = (2.0 * math.pi * ky / height) * ys
+            np.multiply(2.0 * math.pi * ky / height, ys, out=phase)
         if c.real:
-            out += (2.0 * c.real) * np.cos(phase)
+            out += np.multiply(np.cos(phase, out=wave), 2.0 * c.real,
+                               out=wave)
         if c.imag:
-            out += (-2.0 * c.imag) * np.sin(phase)
+            out += np.multiply(np.sin(phase, out=wave), -2.0 * c.imag,
+                               out=wave)
     return out
 
 
@@ -227,9 +234,10 @@ class QuadratureGrid:
     width: float
     height: float
     _classes: dict = field(default_factory=dict, repr=False)
-    # flowed four-label batch of one direction: (theta, budget) and
-    # t -> (x, y, singular); see _flowed
+    # flowed four-label batch of one direction: (theta, budget), the
+    # FlowBatch at its latest time and t -> (x, y, singular); see _flowed
     _flow_direction: tuple = field(default=(), repr=False)
+    _flow_batch: FlowBatch | None = field(default=None, repr=False)
     _flows: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -267,22 +275,29 @@ class QuadratureGrid:
     def _flowed(self, theta: float, t: float, budget: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(x, y, singular)`` of the grid's four-label batch for
-        ``theta`` after one ``advance_to(t)`` from time 0, kept as
-        :func:`correlation_chain_check` describes."""
+        ``theta`` at time ``t``, bit-identical to one ``advance_to(t)`` from
+        time 0 and kept as :func:`correlation_chain_check` describes."""
         theta, t = float(theta), float(t)
         if self._flow_direction != (theta, budget):
             self._flows.clear()
+            self._flow_batch = None
             self._flow_direction = (theta, budget)
         state = self._flows.get(t)
-        if state is None:
+        if state is not None:
+            return state
+        batch, self._flow_batch = self._flow_batch, None
+        if batch is None or t < batch.target:
             batch = FlowBatch(self.table, *_direction_batch(self, [theta]),
                               max_events=budget)
-            batch.advance_to(t)
-            state = (batch.x, batch.y, batch.singular)
-            for a in state:
-                a.setflags(write=False)
-            if (len(self._flows) + 1) * 4 * self.npts <= BATCH_POINT_LIMIT:
-                self._flows[t] = state
+        out = (np.empty(4 * self.npts), np.empty(4 * self.npts))
+        batch.advance_to(t, out=out)
+        state = (*out, batch.singular.copy())
+        for a in state:
+            a.setflags(write=False)
+        if 4 * self.npts <= BATCH_POINT_LIMIT:
+            self._flow_batch = batch
+        if (len(self._flows) + 1) * 4 * self.npts <= BATCH_POINT_LIMIT:
+            self._flows[t] = state
         return state
 
 
@@ -386,6 +401,27 @@ def continuous_part(h, cert: TilingCertificate,
     return SampledObservable(grid, values - avg.values)
 
 
+def _anchor_coords(table: VHTable, cert: TilingCertificate
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float x and y of ``tile_anchors(table, cert)``.
+
+    They are built once per certificate and kept on the table, keyed by the
+    whole certificate, as :func:`dynamics.sides_of` keeps its side view; a
+    copy made by ``VHTable.with_certificate`` has the same geometry and
+    shares them.
+    """
+    kept = table.__dict__.setdefault("_anchors", {})
+    coords = kept.get(cert)
+    if coords is None:
+        anchors = tile_anchors(table, cert)
+        coords = tuple(np.array([float(a[k]) for a in anchors])
+                       for k in (0, 1))
+        for a in coords:
+            a.setflags(write=False)
+        kept[cert] = coords
+    return coords
+
+
 class TileAverageObservable:
     """Analytic form of the tile average, evaluable at arbitrary points.
 
@@ -396,7 +432,7 @@ class TileAverageObservable:
     """
 
     def __init__(self, h: Observable, table: VHTable, cert: TilingCertificate):
-        anchors = tile_anchors(table, cert)
+        ax, ay = _anchor_coords(table, cert)
         (x0, y0), (x1, y1) = table.bbox
         self._x0 = float(x0)
         self._y0 = float(y0)
@@ -404,8 +440,6 @@ class TileAverageObservable:
         self._height = float(y1 - y0)
         self._tile_w = 1.0 / cert.p
         self._tile_h = 1.0 / cert.q
-        ax = np.array([float(a[0]) for a in anchors])
-        ay = np.array([float(a[1]) for a in anchors])
         coeffs = []
         for kx, ky, c in h.coeffs:
             phases = 2.0 * math.pi * (kx * ax / self._width
@@ -615,14 +649,20 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     The flow does not depend on ``h``, so the grid keeps the flowed points
     of one direction: calls that repeat ``theta``, ``t`` and ``budget`` on
     one grid flow once and read the kept state, whatever their observable.
-    Each time is still flowed from 0 in one jump, never resumed from a kept
-    earlier time, so every report is byte-identical to a cold call on a
-    fresh grid.  A new ``theta`` or ``budget`` drops the kept states, and a
-    state that would take the kept points past ``BATCH_POINT_LIMIT`` is
-    flowed but not kept.  The kept states stay with the grid for its
-    lifetime, about 17 bytes per point (up to about 68 MB at
-    ``BATCH_POINT_LIMIT``), and only save work for consecutive calls that
-    share the direction.
+    A new time at or after the direction's latest one resumes the grid's
+    ``FlowBatch`` from its last events with ``advance_to(t, out=...)``, so
+    the direction is flowed once across all its times and every report
+    stays byte-identical to a cold call on a fresh grid; an earlier time
+    flows a new batch from 0.  A new ``theta`` or ``budget`` drops the kept
+    batch and states, and a flow that raises drops the batch.  The batch
+    costs 65 bytes per point plus its kernel workspace (at most 1.5 MiB),
+    and is kept only while the direction's points fit in
+    ``BATCH_POINT_LIMIT``.
+    Each kept time costs 17 bytes per point, and a time that would take the
+    kept points past ``BATCH_POINT_LIMIT`` is flowed but not kept.  All of
+    it stays with the grid for its lifetime (up to about 68 MB of kept
+    times at ``BATCH_POINT_LIMIT``), and only saves work for consecutive
+    calls that share the direction.
     """
     _check_grid_table(table, grid)
     if not grid.aligned_for(cert):

@@ -233,6 +233,17 @@ class TestCorrelate:
                      "--m", "4", "-o", str(out_csv)]) == 0
         assert len(out_csv.read_text().strip().splitlines()) == 2
 
+    def test_negative_budget_exits_1(self, square_file, tmp_path, capsys):
+        out_csv = tmp_path / "series.csv"
+        code = main(["correlate", square_file, "--theta", "1.0",
+                     "--h", "1,0", "--tmax", "1", "--step", "0.5",
+                     "--m", "4", "--budget", "-1", "-o", str(out_csv)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "--budget" in err["message"]
+        assert not out_csv.exists()
+
     def test_budget_defaults_to_library_budget(self, square_file):
         from vhbilliards.cli import _build_parser
         from vhbilliards.dynamics import MAX_EVENTS

@@ -620,6 +620,16 @@ class TestFlowBatch:
         with pytest.raises(EventBudgetExceeded):
             batch.advance_to(50.0)
 
+    def test_negative_budget_rejected(self, square):
+        # the message of the scalar loop's check
+        start = PhasePoint(1.5, 1.5, DirectionState(1.0))
+        with pytest.raises(ValueError) as scalar:
+            flow(square, start, 5.0, max_events=-1)
+        with pytest.raises(ValueError) as batch:
+            FlowBatch(square, [1.5], [1.5], [math.cos(1.0)],
+                      [math.sin(1.0)], max_events=-1)
+        assert str(batch.value) == str(scalar.value)
+
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected(self, square, target):
         batch = FlowBatch(square, np.array([1.5, 1.2]), np.array([1.5, 1.7]),

@@ -244,3 +244,80 @@ class TestKernelMemory:
         bound = (self.BLOCK_POINT_BYTES * dynamics._BLOCK_POINTS
                  + self.POINT_BYTES * n)
         assert extra <= bound, (extra, bound, n)
+
+
+targets = st.lists(st.one_of(st.floats(min_value=0.0, max_value=25.0),
+                             st.sampled_from(TIMES)),
+                   min_size=1, max_size=5).map(sorted)
+
+
+def single_jump(table, inputs, plain_before, t):
+    """A fresh batch after the plain advances ``plain_before`` and one more
+    to ``t``."""
+    batch = FlowBatch(table, *inputs)
+    for s in plain_before + [t]:
+        batch.advance_to(s)
+    return batch
+
+
+def assert_matches(got_xy, batch, want):
+    for k, a in zip(("x", "y"), got_xy):
+        assert a.tobytes() == getattr(want, k).tobytes(), k
+    for k in ("singular", "events"):
+        assert getattr(batch, k).tobytes() == getattr(want, k).tobytes(), k
+
+
+class TestAdvanceOut:
+    """``advance_to(t, out=)`` leaves the points at their last event, so a
+    batch resumed through any later targets rounds as one jump from 0."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), thetas=thetas,
+           times=targets)
+    @settings(max_examples=40, deadline=None)
+    def test_out_equals_one_jump(self, seed, thetas, times):
+        table, inputs = random_case(seed, thetas)
+        batch = FlowBatch(table, *inputs)
+        for t in times:
+            out = (np.empty_like(batch.x), np.empty_like(batch.y))
+            batch.advance_to(t, out=out)
+            assert batch.target == t
+            assert_matches(out, batch, single_jump(table, inputs, [], t))
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), thetas=thetas,
+           times=targets, plain=st.lists(st.booleans(), min_size=5,
+                                         max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_out_calls_change_no_later_call(self, seed, thetas, times, plain):
+        # every call equals a fresh batch that made only the earlier plain
+        # calls and then a plain call to the same target
+        table, inputs = random_case(seed, thetas)
+        batch = FlowBatch(table, *inputs)
+        plain_before = []
+        for t, is_plain in zip(times, plain):
+            want = single_jump(table, inputs, plain_before, t)
+            if is_plain:
+                batch.advance_to(t)
+                got = (batch.x, batch.y)
+                for k in ("vx", "vy", "t"):
+                    assert getattr(batch, k).tobytes() == \
+                        getattr(want, k).tobytes(), k
+                plain_before.append(t)
+            else:
+                got = (np.empty_like(batch.x), np.empty_like(batch.y))
+                batch.advance_to(t, out=got)
+            assert_matches(got, batch, want)
+
+    @pytest.mark.parametrize("target", [4.999, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("use_out", [False, True])
+    def test_earlier_or_non_finite_target_rejected(self, holed_table, target,
+                                                   use_out):
+        batch = FlowBatch(holed_table, *_direction_batch(
+            build_grid(holed_table, 4), [0.7]))
+        out = (np.empty_like(batch.x), np.empty_like(batch.y))
+        batch.advance_to(5.0, out=out)
+        before = {k: getattr(batch, k).copy() for k in STATE}
+        with pytest.raises(ValueError):
+            batch.advance_to(target, out=out if use_out else None)
+        assert batch.target == 5.0
+        for k in STATE:
+            assert getattr(batch, k).tobytes() == before[k].tobytes(), k

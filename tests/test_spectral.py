@@ -25,6 +25,7 @@ from vhbilliards.geometry import (
     build_table,
     contains_point,
     lshape,
+    tile_anchors,
     tiling_parameters,
     unit_square,
 )
@@ -536,6 +537,100 @@ class TestChainFlowCache:
         correlation_chain_check(lshape5, cert, 0.7, h, 2.0, grid)
         assert grid._flow_direction == (0.7, MAX_EVENTS)
         assert list(grid._flows) == [2.0]
+
+    def test_resumed_times_equal_cold_calls(self, lshape5):
+        cert = lshape5.certificate
+        grid = build_grid(lshape5, 20)
+        for j in (2, 5):
+            for t in (5.0, 10.0, 20.0, 2.5, 20.0):
+                warm = correlation_chain_check(lshape5, cert, 1.0,
+                                               basis_function(j), t, grid)
+                cold = self.cold(lshape5, cert, 1.0, basis_function(j), t)
+                assert repr(warm) == repr(cold)
+
+    def test_kept_states_stay_at_their_time(self, lshape5):
+        # slope 1 sends grid points into the reflex vertex, so the batch
+        # freezes more points after each kept time
+        theta = math.pi / 4
+        grid = build_grid(lshape5, 20)
+        for t in (1.0, 2.0, 5.0):
+            grid._flowed(theta, t, MAX_EVENTS)
+        frozen = [grid._flows[t][2].sum() for t in (1.0, 2.0, 5.0)]
+        assert frozen[0] < frozen[1] < frozen[2]
+        for t in (1.0, 2.0, 5.0):
+            cold = build_grid(lshape5, 20)._flowed(theta, t, MAX_EVENTS)
+            for kept, want in zip(grid._flows[t], cold):
+                assert kept.tobytes() == want.tobytes()
+
+    def test_one_batch_per_direction(self, lshape5, monkeypatch):
+        import vhbilliards.spectral as spectral
+
+        built = []
+
+        class CountedBatch(spectral.FlowBatch):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_events"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "FlowBatch", CountedBatch)
+        cert = lshape5.certificate
+        grid = build_grid(lshape5, 20)
+        h = basis_function(3)
+
+        def check(theta, t, budget=MAX_EVENTS):
+            correlation_chain_check(lshape5, cert, theta, h, t, grid,
+                                    budget=budget)
+            return len(built)
+
+        # later times resume the direction's batch
+        assert [check(1.0, t) for t in (5.0, 10.0, 20.0)] == [1, 1, 1]
+        assert grid._flow_batch.target == 20.0
+        # an earlier time starts again from 0; a kept time flows nothing
+        assert [check(1.0, 2.5), check(1.0, 20.0), check(1.0, 4.0)] \
+            == [2, 2, 2]
+        assert [check(0.7, 5.0), check(0.7, 10.0)] == [3, 3]
+        assert [check(0.7, 10.0, 10**6), check(0.7, 20.0, 10**6)] == [4, 4]
+        assert built[-1] == 10**6
+
+    def test_batch_dropped_when_a_flow_raises(self, lshape5):
+        cert = lshape5.certificate
+        grid = build_grid(lshape5, 20)
+        h = basis_function(2)
+        correlation_chain_check(lshape5, cert, 1.0, h, 0.5, grid, budget=3)
+        with pytest.raises(EventBudgetExceeded):
+            correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid,
+                                    budget=3)
+        assert grid._flow_batch is None
+        # the failed batch is not resumed: the same call fails the same way
+        with pytest.raises(EventBudgetExceeded):
+            correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid,
+                                    budget=3)
+
+    def test_anchors_once_per_table_and_certificate(self, monkeypatch):
+        import vhbilliards.spectral as spectral
+
+        calls = []
+
+        def counted(table, cert):
+            calls.append((id(table), cert))
+            return tile_anchors(table, cert)
+
+        monkeypatch.setattr(spectral, "tile_anchors", counted)
+        table = approximate_pq(lshape(), 5, Fraction(1, 10))
+        cert = table.certificate
+        grid = build_grid(table, 20)
+        for j in (1, 2, 3):
+            for t in (1.0, 2.0):
+                correlation_chain_check(table, cert, 1.0, basis_function(j),
+                                        t, grid)
+        assert len(calls) == 1
+        finer = cert.refined(10)
+        TileAverageObservable(basis_function(2), table, finer)
+        TileAverageObservable(basis_function(2), table, finer)
+        assert calls[1:] == [(id(table), finer)]
+        twin = approximate_pq(lshape(), 5, Fraction(1, 10))
+        TileAverageObservable(basis_function(2), twin, cert)
+        assert len(calls) == 3
 
 
 def dense_max_oscillation(h, cert, grid, delta):
