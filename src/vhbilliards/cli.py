@@ -27,6 +27,7 @@ from .errors import (
 from .geometry import (
     PointLocation,
     approximate_pq,
+    check_config_keys,
     contains_point,
     load_table,
     save_table,
@@ -52,7 +53,6 @@ from .spectral import (
 )
 from .lab import (
     ExperimentConfig,
-    check_config_keys,
     continuity_probe,
     gdelta_demo,
     gdelta_summary,

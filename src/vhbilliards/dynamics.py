@@ -143,7 +143,8 @@ class UnfoldedFrame:
 
 @dataclass
 class SideTable:
-    """Float view of the table's exact boundary model for the event loop.
+    """Float view of a table's exact boundary model for the event loop; it
+    holds no reference back to the table.
 
     Sides and vertices keep the numbering of ``table.boundary``: the outer
     loop first, then each hole loop.  ``vertex_convex[v]`` refers to the
@@ -154,7 +155,6 @@ class SideTable:
     docstring).
     """
 
-    table: VHTable
     axis: np.ndarray          # (S,) 0 = vertical, 1 = horizontal
     coord: np.ndarray         # (S,) line coordinate
     lo: np.ndarray            # (S,) span of the cross coordinate
@@ -179,7 +179,6 @@ def prepare_sides(table: VHTable) -> SideTable:
             axis, coord.tolist(), lo.tolist(), hi.tolist(), inward)):
         groups[a, sign].append((c, low - EPS_CORNER, high + EPS_CORNER, s))
     return SideTable(
-        table=table,
         axis=np.array(axis, dtype=np.int8),
         coord=coord,
         lo=lo,
@@ -196,10 +195,11 @@ def prepare_sides(table: VHTable) -> SideTable:
 def sides_of(table: VHTable | SideTable) -> SideTable:
     """The boundary view of a table, built once and kept on the table.
 
-    Every flow entry point takes a ``VHTable`` or a ``SideTable`` and comes
-    through here.  The view is stored on the (frozen) table instance, so it
-    lives and dies with the table; equal tables built separately each get
-    their own.
+    :func:`flow`, :func:`next_event` and :class:`FlowBatch` take a
+    ``VHTable`` or a ``SideTable`` and come through here.  The view is
+    stored on the (frozen) table instance and on its certified copies, so it
+    lives and dies with them; equal tables built separately each get their
+    own.
     """
     if isinstance(table, SideTable):
         return table
@@ -272,33 +272,30 @@ def next_event(table: VHTable | SideTable, state: PhasePoint
 
 @dataclass(slots=True)
 class OrbitEvent:
+    """One collision as its :func:`orbit_to_csv` row: ``(sx, sy)`` are the
+    signs the orbit leaves it with, naming the table copy it enters.  At a
+    corner ``side_id`` is -1 and ``(x, y)`` is the vertex."""
+
     # slots: long orbits hold one record per collision
     time: float
     x: float
     y: float
-    side_id: int                 # -1 for corner events
-    vertex_id: int | None = None
-    kind: str = "reflect"        # "reflect" | "corner"
+    side_id: int
+    sx: int
+    sy: int
 
 
 @dataclass
 class OrbitSegmentList:
-    """Straight orbit segments between recorded collisions.
+    """Straight orbit segments between recorded collisions in ``table``;
+    the records hold every number the exports write."""
 
-    ``sides`` is the boundary view the orbit was computed on; the exports read
-    side axes and vertices from it.
-    """
-
-    sides: SideTable
+    table: VHTable
     initial: PhasePoint
     events: list[OrbitEvent] = field(default_factory=list)
     final: PhasePoint | None = None
     total_time: float = 0.0
     terminated: str | None = None   # None | "singular" | "budget"
-
-    @property
-    def table(self) -> VHTable:
-        return self.sides.table
 
     @property
     def singular(self) -> bool:
@@ -313,7 +310,7 @@ def flow(table: VHTable | SideTable, state: PhasePoint, t: float,
     return _advance(sides_of(table), state, t, max_events, record=None)
 
 
-def orbit(table: VHTable | SideTable, state: PhasePoint,
+def orbit(table: VHTable, state: PhasePoint,
           max_time: float, max_events: int = MAX_EVENTS) -> OrbitSegmentList:
     """Record the orbit up to ``max_time`` or ``max_events`` collisions.
 
@@ -322,19 +319,14 @@ def orbit(table: VHTable | SideTable, state: PhasePoint,
     """
     if not max_time >= 0:
         raise ValueError(f"orbit time must be nonnegative, got {max_time}")
-    sides = sides_of(table)
-    rec = OrbitSegmentList(sides=sides, initial=state)
+    rec = OrbitSegmentList(table=table, initial=state)
     try:
-        final = _advance(sides, state, max_time, max_events, record=rec)
-        rec.final = final
+        rec.final = _advance(sides_of(table), state, max_time, max_events,
+                             record=rec)
         rec.total_time = max_time
-    except SingularOrbit:
-        rec.terminated = "singular"
-        rec.final = None
-        rec.total_time = rec.events[-1].time if rec.events else 0.0
-    except EventBudgetExceeded:
-        rec.terminated = "budget"
-        rec.final = None
+    except (SingularOrbit, EventBudgetExceeded) as err:
+        rec.terminated = ("singular" if isinstance(err, SingularOrbit)
+                          else "budget")
         rec.total_time = rec.events[-1].time if rec.events else 0.0
     return rec
 
@@ -371,9 +363,7 @@ def _advance(sides: SideTable, state: PhasePoint, t: float,
         elapsed += dt
         events += 1
         if record is not None:
-            record.events.append(OrbitEvent(
-                time=elapsed, x=x, y=y, side_id=s, vertex_id=vertex,
-                kind="reflect" if vertex is None else "corner"))
+            record.events.append(OrbitEvent(elapsed, x, y, s, d.sx, d.sy))
         if events > max_events:
             raise EventBudgetExceeded(f"exceeded {max_events} events")
     return PhasePoint(x, y, d)
@@ -390,33 +380,28 @@ def unfold_position(history: OrbitSegmentList) -> list[tuple[tuple[float, float]
     Each reflection toggles one frame parity instead of bending the path, so
     the returned points are collinear (the whole unfolded path is one line).
     Entry k carries the frame in effect when the path arrives at point k.
+    A collision that flips ``sx`` (``sy``) reflects across the line through
+    it normal to x (y); a corner flips both.
     """
-    sides = history.sides
-    # isometry z -> (sx*z_x + tx, sy*z_y + ty), composed right-to-left
-    sx, sy = 1, 1
+    # isometry z -> (ex*z_x + tx, ey*z_y + ty), composed right-to-left
+    ex, ey = 1, 1
     tx, ty = 0.0, 0.0
 
     def apply(px: float, py: float) -> tuple[float, float]:
-        return (sx * px + tx, sy * py + ty)
+        return (ex * px + tx, ey * py + ty)
 
-    out = [(apply(history.initial.x, history.initial.y), UnfoldedFrame(sx, sy))]
+    out = [(apply(history.initial.x, history.initial.y), UnfoldedFrame(ex, ey))]
+    prev = history.initial.direction
     for ev in history.events:
-        out.append((apply(ev.x, ev.y), UnfoldedFrame(sx, sy)))
-        if ev.kind == "corner":
-            cx = sides.vertex_x[ev.vertex_id]
-            cy = sides.vertex_y[ev.vertex_id]
-            tx, sx = tx + 2.0 * sx * cx, -sx
-            ty, sy = ty + 2.0 * sy * cy, -sy
-        else:
-            if sides.axis[ev.side_id] == 0:
-                line = sides.coord[ev.side_id]
-                tx, sx = tx + 2.0 * sx * line, -sx
-            else:
-                line = sides.coord[ev.side_id]
-                ty, sy = ty + 2.0 * sy * line, -sy
+        out.append((apply(ev.x, ev.y), UnfoldedFrame(ex, ey)))
+        if ev.sx != prev.sx:
+            tx, ex = tx + 2.0 * ex * ev.x, -ex
+        if ev.sy != prev.sy:
+            ty, ey = ty + 2.0 * ey * ev.y, -ey
+        prev = ev
     if history.final is not None:
         out.append((apply(history.final.x, history.final.y),
-                    UnfoldedFrame(sx, sy)))
+                    UnfoldedFrame(ex, ey)))
     return out
 
 
@@ -723,8 +708,6 @@ def orbit_to_csv(history: OrbitSegmentList, path) -> None:
     Numbers are written as the shortest round-tripping float repr, whatever
     float type the orbit carries.
     """
-    sides = history.sides
-
     def num(v) -> str:
         return repr(float(v))
 
@@ -734,16 +717,8 @@ def orbit_to_csv(history: OrbitSegmentList, path) -> None:
         d = history.initial.direction
         w.writerow([num(0.0), num(history.initial.x), num(history.initial.y),
                     d.sx, d.sy, -1])
-        sx, sy = d.sx, d.sy
-        for ev in history.events:
-            if ev.kind == "corner":
-                sx, sy = -sx, -sy
-            elif sides.axis[ev.side_id] == 0:
-                sx = -sx
-            else:
-                sy = -sy
-            w.writerow([num(ev.time), num(ev.x), num(ev.y), sx, sy,
-                        ev.side_id])
+        w.writerows([num(ev.time), num(ev.x), num(ev.y), ev.sx, ev.sy,
+                     ev.side_id] for ev in history.events)
         if history.final is not None:
             fd = history.final.direction
             w.writerow([num(history.total_time),

@@ -41,6 +41,7 @@ import numpy as np
 from .errors import (
     BadAlphabet,
     ClosureViolated,
+    ConfigError,
     DegenerateWord,
     EtaTooSmall,
     GeometryError,
@@ -413,11 +414,10 @@ class VHTable:
 
     def with_certificate(self, cert: TilingCertificate | None) -> "VHTable":
         """This table carrying ``cert``.  The outer polygon and holes are the
-        same objects, so the copy skips hole validation and keeps the walked
-        boundary; the float side view is left behind, since its ``table`` is
-        this instance."""
+        same objects, so the copy skips hole validation and shares everything
+        built from them and kept on the instance: the walked boundary, the
+        float side view of :mod:`dynamics` and the tile anchors."""
         table = copy.copy(self)
-        table.__dict__.pop("_sides", None)
         object.__setattr__(table, "certificate", cert)
         return table
 
@@ -711,28 +711,61 @@ def table_to_dict(table: VHTable) -> dict:
     }
 
 
+def check_config_keys(raw, required, allowed, what: str) -> None:
+    """Raise ConfigError naming any missing or unknown key of a JSON config.
+
+    A typo in an optional key would otherwise run silently with its default.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise ConfigError(f"missing {what} key(s): {', '.join(missing)}")
+
+
 def table_from_dict(data: dict) -> VHTable:
-    outer = build_polygon(parse_word(data["outer"]["word"]),
-                          [_parse_rational(v) for v in data["outer"]["lengths"]])
-    holes = []
-    for h in data.get("holes", []):
-        poly = build_polygon(parse_word(h["word"]),
-                             [_parse_rational(v) for v in h["lengths"]])
-        anchor = (_parse_rational(h["anchor"][0]), _parse_rational(h["anchor"][1]))
-        holes.append((poly, anchor))
-    return build_table(outer, holes)
+    """The table of :func:`table_to_dict`'s JSON form.  Malformed input
+    raises ConfigError naming the field, such as ``holes[0].anchor``."""
+    check_config_keys(data, ("outer",), ("outer", "holes"), "table")
+    holes = data.get("holes", [])
+    if not isinstance(holes, list):
+        raise ConfigError(f"holes must be a list, got {holes!r}")
+    return build_table(_polygon_from_dict(data["outer"], "outer", ()), [
+        (_polygon_from_dict(h, f"holes[{k}]", ("anchor",)),
+         _parse_rationals(h["anchor"], f"holes[{k}].anchor", 2))
+        for k, h in enumerate(holes)])
 
 
-def _parse_rational(v) -> Fraction:
+def _polygon_from_dict(data, what: str, extra: tuple) -> VHPolygon:
+    keys = ("word", "lengths") + extra
+    check_config_keys(data, keys, keys, what)
+    if not isinstance(data["word"], str):
+        raise ConfigError(f"{what}.word must be a string, got {data['word']!r}")
+    return build_polygon(parse_word(data["word"]),
+                         _parse_rationals(data["lengths"], f"{what}.lengths"))
+
+
+def _parse_rationals(values, what: str, count: int | None = None) -> list:
+    if not isinstance(values, list) or count not in (None, len(values)):
+        n = "" if count is None else f"{count} "
+        raise ConfigError(f"{what} must be a list of {n}rationals, "
+                          f"got {values!r}")
+    return [_parse_rational(v, f"{what}[{k}]") for k, v in enumerate(values)]
+
+
+def _parse_rational(v, what: str) -> Fraction:
     # strings are authoritative; bare JSON numbers get decimal semantics so
     # that "0.1" means 1/10, not the binary double
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(repr(v))
-    raise TypeError(f"cannot read rational from {v!r}")
+    if not isinstance(v, bool) and isinstance(v, (str, int, float)):
+        try:
+            return Fraction(repr(v) if isinstance(v, float) else v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"{what} must be a finite rational, as a number or a "
+                      f"string such as \"1/3\", got {v!r}")
 
 
 def save_table(table: VHTable, path) -> None:

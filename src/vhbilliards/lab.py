@@ -37,6 +37,7 @@ from .geometry import (
     approximate_pq,
     build_polygon,
     build_table,
+    check_config_keys,
     load_table,
     parameter_distance,
     table_hash,
@@ -104,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"step {self.effective_step} exceeds 1/(4*n_gap) = "
                 f"{1.0 / (4 * self.n_gap)}; dips below 1/n_gap could be missed")
+        if self.time_grid().size == 0:
+            raise ConfigError(
+                f"the window (n_gap, tau] = ({self.n_gap}, {self.tau}] holds "
+                f"no time step of {self.effective_step}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -142,21 +147,6 @@ def _check_real(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
-
-
-def check_config_keys(raw, required, allowed, what: str) -> None:
-    """Raise ConfigError naming any missing or unknown key of a JSON config.
-
-    A typo in an optional key would otherwise run silently with its default.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    unknown = sorted(set(raw) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise ConfigError(f"missing {what} key(s): {', '.join(missing)}")
 
 
 def stratified_thetas(count: int, seed: int) -> np.ndarray:

@@ -60,6 +60,45 @@ class TestValidate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
 
+    _SQUARE = '"outer": {"word": "ENWS", "lengths": [%s, 1, 1, 1]}'
+    _HOLE = '{"word": "ENWS", "lengths": [1, 1, 1, 1], "anchor": %s}'
+    _RING = '{"outer": {"word": "ENWS", "lengths": [3, 3, 3, 3]}, %s}'
+
+    @pytest.mark.parametrize("text, field", [
+        ("{%s}" % (_SQUARE % '"1/0"'), "outer.lengths[0]"),
+        ("{%s}" % (_SQUARE % '"1//2"'), "outer.lengths[0]"),
+        ("{%s}" % (_SQUARE % "NaN"), "outer.lengths[0]"),
+        ("{%s}" % (_SQUARE % "Infinity"), "outer.lengths[0]"),
+        ("{%s}" % (_SQUARE % "true"), "outer.lengths[0]"),
+        ("{%s}" % (_SQUARE % "null"), "outer.lengths[0]"),
+        ("{%s}" % (_SQUARE % "[1]"), "outer.lengths[0]"),
+        ("{%s}" % (_SQUARE % '{"n": 1}'), "outer.lengths[0]"),
+        ('{"outer": {"word": "ENWS", "lengths": "1111"}}', "outer.lengths"),
+        ('{"outer": {"word": ["E", "N", "W", "S"], "lengths": [1, 1, 1, 1]}}',
+         "outer.word"),
+        ('{"outer": {"word": "ENWS"}}', "outer key(s): lengths"),
+        ('{"holes": []}', "table key(s): outer"),
+        ('[{"word": "ENWS", "lengths": [1, 1, 1, 1]}]', "table"),
+        (_RING % ('"hole": [%s]' % (_HOLE % "[2, 2]")), "table key(s): hole"),
+        (_RING % '"holes": [{"word": "ENWS", "lengths": [1, 1, 1, 1]}]',
+         "holes[0] key(s): anchor"),
+        (_RING % ('"holes": [%s]' % (_HOLE % "[2, 2, 2]")), "holes[0].anchor"),
+        (_RING % ('"holes": [%s]' % (_HOLE % '[2, "x"]')),
+         "holes[0].anchor[1]"),
+        (_RING % '"holes": {}', "holes"),
+    ], ids=["zero-denominator", "malformed-string", "nan", "infinity", "bool",
+            "null", "list", "dict", "string-lengths", "list-word",
+            "missing-lengths", "missing-outer", "top-level-list",
+            "misspelt-holes", "missing-anchor", "anchor-length",
+            "anchor-entry", "holes-dict"])
+    def test_malformed_table_exits_1(self, text, field, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert field in err["message"]
+
 
 class TestTile:
     def test_counts(self, lshape_file, capsys):
@@ -286,6 +325,18 @@ class TestThetaSweepCommand:
         assert main(["theta-sweep", str(cfg_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+    def test_window_without_a_step_exits_1(self, square_file, tmp_path,
+                                           capsys):
+        config = {"table_path": square_file, "count": 4, "seed": 0,
+                  "n_gap": 2, "tau": 2.1, "h_indices": [1], "grid_m": 4,
+                  "out_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "short.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["theta-sweep", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "n_gap" in err["message"] and "tau" in err["message"]
 
     @pytest.mark.parametrize("field, value", [
         ("count", "4"), ("seed", 1.5), ("workers", True), ("tau", "12"),

@@ -5,6 +5,7 @@ rectangles, a parametric ray/segment intersection oracle for first hits, and
 straight-line unfolding for mirror compositions.
 """
 
+import csv
 import gc
 import math
 import weakref
@@ -74,7 +75,7 @@ def brute_force_first_hit(table, x, y, vx, vy):
     return best
 
 
-def all_sides_next_event(sides, state):
+def all_sides_next_event(table, state):
     """The scalar scan before side groups: one pass over every side in side
     order, spans widened by ``EPS_CORNER``, ties to the lower side index.
 
@@ -84,10 +85,11 @@ def all_sides_next_event(sides, state):
     as a vertex rebuilt as ``a + (b - a) * 1.0``, would "hit" that side from
     outside at t <= ``EPS_CORNER`` / |v|, which is the ray entering the
     table, not a collision."""
+    sides = sides_of(table)
     rows = [(a, 1 - a, c, lo - EPS_CORNER, hi + EPS_CORNER, side.inward)
             for a, c, lo, hi, side in zip(
                 sides.axis.tolist(), sides.coord.tolist(), sides.lo.tolist(),
-                sides.hi.tolist(), sides.table.boundary.sides)]
+                sides.hi.tolist(), table.boundary.sides)]
     vx, vy = state.direction.velocity
     if vx == 0.0 or vy == 0.0:
         raise StalledState("axis-parallel velocity")
@@ -247,7 +249,7 @@ class TestFacedSides:
         sides = sides_of(table)
         for state in next_event_starts(table, rng):
             try:
-                want = all_sides_next_event(sides, state)
+                want = all_sides_next_event(table, state)
             except (StalledState, SingularOrbit) as err:
                 with pytest.raises(type(err)):
                     next_event(table, state)
@@ -316,7 +318,8 @@ class TestSideTable:
         assert sides_of(holed_table) is sides
         assert sides_of(sides) is sides
         state = PhasePoint(1.1, 1.1, DirectionState(0.7))
-        assert orbit(holed_table, state, max_time=3.0).sides is sides
+        assert orbit(holed_table, state, max_time=3.0).table is holed_table
+        assert sides_of(holed_table) is sides
         batch = FlowBatch(holed_table, [1.1], [1.1], [0.6], [0.8])
         assert batch.sides is sides
         # prepare_sides stays a plain builder
@@ -538,12 +541,86 @@ class TestUnfold:
         pts = unfold_position(hist)
         for ev, (_, frame_at_arrival) in zip(hist.events, pts[1:]):
             assert (frame_at_arrival.ex, frame_at_arrival.ey) == (ex, ey)
-            if ev.kind == "corner":
+            if ev.side_id == -1:
                 ex, ey = -ex, -ey
             elif sides.axis[ev.side_id] == 0:
                 ex = -ex
             else:
                 ey = -ey
+
+
+def replayed_signs(table, history):
+    """The reflection law replayed from the side view's axes, as the
+    exports did before each record carried its signs: a corner (side -1)
+    flips both signs, a vertical side ``sx``, a horizontal one ``sy``."""
+    axis = sides_of(table).axis
+    d = history.initial.direction
+    sx, sy = d.sx, d.sy
+    out = []
+    for ev in history.events:
+        if ev.side_id == -1:
+            sx, sy = -sx, -sy
+        elif axis[ev.side_id] == 0:
+            sx = -sx
+        else:
+            sy = -sy
+        out.append((sx, sy))
+    return out
+
+
+class TestOrbitRecords:
+    """Each record is its CSV row and carries the signs the orbit leaves the
+    collision with, over random holed tables.  Cell-centre starts on slopes
+    1 and 1/2 (and 2) meet vertices, so corner records occur."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([math.pi / 4, math.atan(0.5), math.atan(2.0)]),
+           st.sampled_from([2, 4, 6]))
+    @settings(max_examples=30, deadline=None)
+    def test_records_are_reflection_law_rows(self, tmp_path_factory, seed,
+                                             theta, m):
+        from vhbilliards.spectral import build_grid
+
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, hole_probability=0.6)
+        sides = sides_of(table)
+        vertices = set(zip(sides.vertex_x.tolist(), sides.vertex_y.tolist()))
+        grid = build_grid(table, m)
+        pick = rng.choice(grid.npts, size=min(8, grid.npts), replace=False)
+        path = tmp_path_factory.mktemp("records") / "orbit.csv"
+        for i in pick.tolist():
+            d = DirectionState(theta, *(int(v) for v in
+                                        rng.choice((-1, 1), size=2)))
+            start = PhasePoint(float(grid.xs[i]), float(grid.ys[i]), d)
+            hist = orbit(table, start, max_time=12.0)
+            signs = replayed_signs(table, hist)
+            assert [(ev.sx, ev.sy) for ev in hist.events] == signs
+            for ev in hist.events:
+                assert (ev.side_id == -1) == ((ev.x, ev.y) in vertices)
+            if hist.final is not None:
+                fd = hist.final.direction
+                assert (fd.sx, fd.sy) == (signs[-1] if signs else (d.sx, d.sy))
+            # the frame on arrival at a point is the product of the flips
+            # before it: the start's signs times the signs the orbit arrives
+            # with
+            unfolded = unfold_position(hist)
+            frames = [frame for _, frame in unfolded]
+            before = [(d.sx, d.sy)] + signs
+            arrivals = before[:1] + before[:-1]
+            arrivals += before[-1:] if hist.final is not None else []
+            assert frames == [UnfoldedFrame(d.sx * sx, d.sy * sy)
+                              for sx, sy in arrivals]
+            # the unfolded path is the start's straight ray
+            vx, vy = d.velocity
+            for ((ux, uy), _), ev in zip(unfolded[1:], hist.events):
+                assert abs(ux - (start.x + vx * ev.time)) <= 1e-9
+                assert abs(uy - (start.y + vy * ev.time)) <= 1e-9
+            orbit_to_csv(hist, path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[2:2 + len(hist.events)]
+            assert rows == [[repr(ev.time), repr(ev.x), repr(ev.y),
+                             str(ev.sx), str(ev.sy), str(ev.side_id)]
+                            for ev in hist.events]
 
 
 class TestFlowBatch:

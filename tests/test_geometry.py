@@ -464,7 +464,7 @@ class TestApproximatePq:
         assert out.certificate == cert and holed_table.certificate is None
         assert out == holed_table
         assert out.boundary is holed_table.boundary
-        assert sides_of(out).table is out
+        assert sides_of(out) is old_view
         assert sides_of(holed_table) is old_view
 
     def test_hole_anchor_snapped(self, square_with_hole):

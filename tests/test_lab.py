@@ -45,6 +45,12 @@ class TestConfig:
             ExperimentConfig(table_path=square_file, count=4, seed=0,
                              n_gap=10, tau=5.0, h_indices=(1,), grid_m=4)
 
+    def test_window_must_hold_a_step(self, square_file):
+        # 2 < 2.1, but the first time, 2 + 1/8, lies beyond tau
+        with pytest.raises(ConfigError, match="n_gap.*tau.*0.125"):
+            ExperimentConfig(table_path=square_file, count=4, seed=0,
+                             n_gap=2, tau=2.1, h_indices=(1,), grid_m=4)
+
     def test_step_cap_enforced(self, square_file):
         with pytest.raises(ConfigError):
             ExperimentConfig(table_path=square_file, count=4, seed=0,
