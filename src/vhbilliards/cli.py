@@ -26,6 +26,7 @@ from .errors import (
 )
 from .geometry import (
     PointLocation,
+    _parse_rationals,
     approximate_pq,
     check_config_keys,
     contains_point,
@@ -84,6 +85,23 @@ def _parse_h(selector: str) -> Observable:
     if kx == 0 and ky == 0:
         return Observable.constant(1.0)
     return Observable.cosine(kx, ky)
+
+
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise ConfigError(f"--m must be a positive integer, got {m}")
+
+
+def _parse_times(text: str) -> list[float]:
+    try:
+        times = [float(v) for v in text.split(",")]
+    except ValueError:
+        times = []
+    if not times or not all(0 <= t < math.inf for t in times) \
+            or any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"--t must be finite, nonnegative, strictly "
+                          f"increasing times, got {text!r}")
+    return times
 
 
 def _write_json(data: dict, path) -> None:
@@ -179,6 +197,7 @@ def _cmd_correlate(args) -> int:
             f"got {args.tmax}")
     if args.budget < 0:
         raise ConfigError(f"--budget must be nonnegative, got {args.budget}")
+    _check_m(args.m)
     table = load_table(args.table)
     h = _parse_h(args.h)
     grid = build_grid(table, args.m)
@@ -220,10 +239,11 @@ def _cmd_theta_sweep(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
+    _check_m(args.m)
+    t_list = _parse_times(args.t)
     table_a = load_table(args.table_a)
     table_b = load_table(args.table_b)
     h = _parse_h(args.h)
-    t_list = [float(v) for v in args.t.split(",")]
     report = continuity_probe(table_a, table_b, args.theta, h, t_list, args.m)
     print(json.dumps({
         "distance": report.distance,
@@ -244,7 +264,7 @@ def _cmd_gdelta_demo(args) -> int:
     options = {k: cfg[k] for k in ("seed", "theta_count") if k in cfg}
     report = gdelta_demo(
         cfg["word"],
-        (cfg["area_band"][0], cfg["area_band"][1]),
+        tuple(_parse_rationals(cfg["area_band"], "area_band", 2)),
         cfg["q_list"],
         cfg["j_max"],
         cfg["n_list"],

@@ -432,13 +432,13 @@ class FlowBatch:
 
     Targets never go back: each :meth:`advance_to` target must be at least
     the batch's latest one, ``target`` (0 at the start), or the call raises
-    ``ValueError``.  A plain call moves every live point to the target.  A
-    call with ``out=(x, y)``, two float64 arrays of one value per point,
-    applies the same events but writes the positions at the target into
-    ``out`` and leaves every point at its last event, so a later call on
-    the batch is bit-identical to one jump from 0: the move to the target
-    is the only step that depends on where a jump ends, and every other
-    step is elementwise.
+    ``ValueError``.  A call applies every event up to its target, leaves
+    each point at its last event (``x``, ``y`` and ``t`` are that event's)
+    and returns the positions at the target, written into one pair of
+    float64 arrays allocated with the batch (16 bytes per point) and
+    overwritten by the next call.  The move to the target is the only step
+    that depends on where a jump ends, and every other step is elementwise,
+    so every call returns what one jump from 0 would.
     """
 
     def __init__(self, table: VHTable | SideTable,
@@ -461,6 +461,7 @@ class FlowBatch:
         self.target = 0.0
         self.next_t = np.empty(n)
         self.next_side = np.empty(n, dtype=np.int64)
+        self._at_target = (np.empty(n), np.empty(n))
         g = self.sides.groups
         self._columns = (_column_pairs(g[0, -1], g[0, 1]),
                          _column_pairs(g[1, -1], g[1, 1]))
@@ -487,11 +488,10 @@ class FlowBatch:
         np.copyto(sh, sv, where=use_v)
         return th, sh
 
-    def advance_to(self, t_target: float,
-                   out: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-        """Apply every event up to ``t_target``, then move the points to it,
-        or with ``out`` write their positions at ``t_target`` there and leave
-        them at their last event (class docstring)."""
+    def advance_to(self, t_target: float) -> tuple[np.ndarray, np.ndarray]:
+        """Apply every event up to ``t_target`` and return the positions
+        ``(x, y)`` at it, ``x + vx * (t_target - t)`` with a zero step for
+        frozen points, leaving each point at its last event."""
         if not math.isfinite(t_target):
             raise ValueError(f"advance_to target {t_target} is not finite")
         if t_target < self.target:
@@ -509,35 +509,19 @@ class FlowBatch:
                 idx[...] = due[sl]
                 kept += self._process_events(idx, t_target, due[kept:])
             count = kept
-        self._move_to(t_target, out)
-
-    def _move_to(self, t_target: float,
-                 out: tuple[np.ndarray, np.ndarray] | None) -> None:
-        """The final move of :meth:`advance_to`: ``x + vx * (t_target - t)``,
-        with a zero step for frozen points, into ``out`` or, without it, into
-        the batch, whose live points then take the time ``t_target``
-        (assigned rather than accumulated, since t + (T - t) may not be T)."""
-        x_out, y_out = (self.x, self.y) if out is None else out
-        w = self._work
-        for sl in _blocks(self.x.shape[0]):
-            frozen = self.singular[sl]
-            k = frozen.shape[0]
-            dt, step, live = w.dt[:k], w.line[:k], w.horiz[:k]
-            np.subtract(t_target, self.t[sl], out=dt)
-            np.copyto(dt, 0.0, where=frozen)
-            np.add(self.x[sl], np.multiply(self.vx[sl], dt, out=step),
-                   out=x_out[sl])
-            np.add(self.y[sl], np.multiply(self.vy[sl], dt, out=step),
-                   out=y_out[sl])
-            if out is None:
-                np.copyto(self.t[sl], t_target,
-                          where=np.logical_not(frozen, out=live))
+        x_at, y_at = self._at_target
+        # y_at holds the step lengths until the last line
+        dt = np.subtract(t_target, self.t, out=y_at)
+        np.copyto(dt, 0.0, where=self.singular)
+        np.add(self.x, np.multiply(self.vx, dt, out=x_at), out=x_at)
+        np.add(self.y, np.multiply(self.vy, dt, out=y_at), out=y_at)
+        return self._at_target
 
     def _process_events(self, idx: np.ndarray, t_target: float,
-                        out: np.ndarray) -> int:
+                        still_due: np.ndarray) -> int:
         """Apply the cached next event of the points ``idx`` (one block) and
         find their next events; writes the points still due by ``t_target``
-        to the front of ``out`` and returns their count."""
+        to the front of ``still_due`` and returns their count."""
         s = self.sides
         w = self._work
         k = idx.shape[0]
@@ -614,7 +598,7 @@ class FlowBatch:
         self.next_side[idx] = side
         still = np.less_equal(t, t_target, out=w.still[:t.shape[0]])
         kept = np.count_nonzero(still)
-        np.compress(still, idx, out=out[:kept])
+        np.compress(still, idx, out=still_due[:kept])
         return kept
 
 

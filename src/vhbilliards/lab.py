@@ -256,12 +256,9 @@ def sweep_to_csv(estimates: list[ThetaSetEstimate], path) -> None:
         w.writerow(["h_index", "theta_index", "theta", "min_gap",
                     "argmin_t", "first_dip_t", "hit"])
         for est in estimates:
-            for i in range(est.thetas.size):
-                w.writerow([est.h_index, i, repr(float(est.thetas[i])),
-                            repr(float(est.min_gap[i])),
-                            repr(float(est.argmin_t[i])),
-                            repr(float(est.first_dip_t[i])),
-                            int(est.hit[i])])
+            cols = zip(est.thetas, est.min_gap, est.argmin_t, est.first_dip_t)
+            w.writerows([est.h_index, i, *map(repr, map(float, row)), int(hit)]
+                        for i, (row, hit) in enumerate(zip(cols, est.hit)))
 
 
 def sweep_summary(config: ExperimentConfig, table: VHTable,
@@ -471,6 +468,8 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
     Demonstration data only: nothing here is a convergence claim.
     """
     q_list = list(q_list)
+    for k, q in enumerate(q_list):
+        _check_int(f"q_list[{k}]", q)
     if not q_list:
         raise ConfigError("q_list must be nonempty")
     if any(b <= a for a, b in zip(q_list, q_list[1:])):

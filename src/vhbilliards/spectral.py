@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -159,11 +160,8 @@ def basis_function(j: int) -> Observable:
     if j == 1:
         return Observable.constant(1.0)
     rep_index, kind = divmod(j - 2, 2)
-    for i, rep in enumerate(_frequency_reps()):
-        if i == rep_index:
-            kx, ky = rep
-            return Observable.cosine(kx, ky) if kind == 0 else Observable.sine(kx, ky)
-    raise AssertionError("unreachable")
+    kx, ky = next(islice(_frequency_reps(), rep_index, None))
+    return Observable.cosine(kx, ky) if kind == 0 else Observable.sine(kx, ky)
 
 
 @dataclass(frozen=True)
@@ -289,9 +287,8 @@ class QuadratureGrid:
         if batch is None or t < batch.target:
             batch = FlowBatch(self.table, *_direction_batch(self, [theta]),
                               max_events=budget)
-        out = (np.empty(4 * self.npts), np.empty(4 * self.npts))
-        batch.advance_to(t, out=out)
-        state = (*out, batch.singular.copy())
+        state = (*(a.copy() for a in batch.advance_to(t)),
+                 batch.singular.copy())
         for a in state:
             a.setflags(write=False)
         if 4 * self.npts <= BATCH_POINT_LIMIT:
@@ -512,9 +509,11 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     dropped mass of each direction.  The flow does not depend on the
     observable, so one flow serves them all: each chunk of directions is
     advanced once through the increasing time grid and every observable is
-    read off it at each time.  The per-direction reduction order is fixed, so
-    the output does not depend on how directions are chunked across workers
-    or on which other observables share the flow.
+    read off the positions ``FlowBatch.advance_to`` returns at each time,
+    which equal one jump from 0.  The per-direction reduction order is
+    fixed, so a value at t depends only on theta, t and the grid, not on
+    the other grid times, the chunking of directions across workers or the
+    other observables sharing the flow.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     t_grid = np.asarray(t_grid, dtype=np.float64)
@@ -534,8 +533,9 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
         nb = sel.size
         batch = FlowBatch(grid.table, *_direction_batch(grid, sel),
                           max_events=budget)
+        frac = np.zeros(nb)
         for k, t_k in enumerate(t_grid):
-            batch.advance_to(float(t_k))
+            x, y = batch.advance_to(float(t_k))
             alive = ~batch.singular
             counts = alive.reshape(nb, block).sum(axis=1)
             frac = 1.0 - counts / block
@@ -546,13 +546,11 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
             # one row per (direction, label): h0 broadcasts along the rows
             alive_rows = alive.reshape(4 * nb, npts)
             for j, (h, h0) in enumerate(zip(hs, h0s)):
-                vals = h.evaluate(batch.x, batch.y, width, height)
+                vals = h.evaluate(x, y, width, height)
                 vals = vals.reshape(4 * nb, npts) * h0 * alive_rows
                 sums = vals.reshape(nb, block).sum(axis=1)
                 c_out[j, start:start + nb, k] = sums / counts
-        alive = ~batch.singular
-        dropped[start:start + nb] = 1.0 - (
-            alive.reshape(nb, block).sum(axis=1) / block)
+        dropped[start:start + nb] = frac
     return c_out, dropped
 
 
@@ -567,10 +565,11 @@ def correlation(table: VHTable, theta: float, h, t_grid: Sequence[float],
                 box: tuple[float, float] | None = None) -> CorrelationSeries:
     """Autocorrelation t -> <h o flow_t, h> on the normalized measure.
 
-    Grid points are flowed incrementally through the (increasing) time grid;
-    orbits that reach a reflex corner are dropped and the mass renormalized,
-    aborting if the dropped fraction passes MAX_DROPPED_FRACTION.  A given
-    ``grid`` must belong to ``table`` (:class:`GridMismatch` otherwise).
+    Each value is that of a flow from 0 straight to its time, whatever the
+    other times (:func:`sweep_correlations`).  Orbits that reach a reflex
+    corner are dropped and the mass renormalized, aborting if the dropped
+    fraction passes MAX_DROPPED_FRACTION.  A given ``grid`` must belong to
+    ``table`` (:class:`GridMismatch` otherwise).
     """
     if grid is None:
         if m is None:
@@ -650,12 +649,12 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     of one direction: calls that repeat ``theta``, ``t`` and ``budget`` on
     one grid flow once and read the kept state, whatever their observable.
     A new time at or after the direction's latest one resumes the grid's
-    ``FlowBatch`` from its last events with ``advance_to(t, out=...)``, so
-    the direction is flowed once across all its times and every report
-    stays byte-identical to a cold call on a fresh grid; an earlier time
-    flows a new batch from 0.  A new ``theta`` or ``budget`` drops the kept
-    batch and states, and a flow that raises drops the batch.  The batch
-    costs 65 bytes per point plus its kernel workspace (at most 1.5 MiB),
+    ``FlowBatch`` from its last events with ``advance_to(t)``, so the
+    direction is flowed once across all its times and every report stays
+    byte-identical to a cold call on a fresh grid; an earlier time flows a
+    new batch from 0.  A new ``theta`` or ``budget`` drops the kept batch
+    and states, and a flow that raises drops the batch.  The batch costs
+    81 bytes per point plus its kernel workspace (at most 1.5 MiB),
     and is kept only while the direction's points fit in
     ``BATCH_POINT_LIMIT``.
     Each kept time costs 17 bytes per point, and a time that would take the
@@ -811,12 +810,8 @@ def series_to_csv(series: CorrelationSeries, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "C", "gap", "cesaro_sq", "cesaro_abs"])
-        for k in range(series.times.size):
-            w.writerow([repr(float(series.times[k])),
-                        repr(float(series.values[k])),
-                        repr(float(gap[k])),
-                        repr(float(ces_sq[k])),
-                        repr(float(ces_abs[k]))])
+        w.writerows([repr(float(v)) for v in row] for row in zip(
+            series.times, series.values, gap, ces_sq, ces_abs))
 
 
 def series_summary(series: CorrelationSeries, table: VHTable, h,

@@ -459,6 +459,46 @@ class TestGDeltaCommand:
         assert not (tmp_path / "gd").exists()
 
 
+class TestTypedInputs:
+    """A mistyped input exits 1 as a ConfigError naming it, before any
+    work starts."""
+
+    GDELTA = {"word": "ENWS", "area_band": [0.5, 30], "q_list": [2],
+              "j_max": 1, "n_list": [2], "grid_m": 4}
+
+    @pytest.mark.parametrize("command, change, name", [
+        ("gdelta-demo", {"area_band": ["1/0", 3]}, "area_band[0]"),
+        ("gdelta-demo", {"area_band": 3}, "area_band"),
+        ("gdelta-demo", {"area_band": [1, "x"]}, "area_band[1]"),
+        ("gdelta-demo", {"q_list": "ab"}, "q_list[0]"),
+        ("correlate", ["--m", "0"], "--m"),
+        ("continuity", ["--m", "-3"], "--m"),
+        ("continuity", ["--t", "1,x"], "--t"),
+    ], ids=["band-zero-denominator", "band-number", "band-word",
+            "q-list-string", "correlate-m-zero", "continuity-m-negative",
+            "continuity-t-word"])
+    def test_mistyped_input_exits_1(self, square_file, tmp_path, capsys,
+                                    command, change, name):
+        out_dir = tmp_path / "out"
+        if command == "gdelta-demo":
+            cfg_path = tmp_path / "gd.json"
+            cfg_path.write_text(json.dumps(
+                self.GDELTA | change | {"out_dir": str(out_dir)}))
+            argv = [command, str(cfg_path)]
+        elif command == "correlate":
+            argv = [command, square_file, "--theta", "1.0", "--h", "1,0",
+                    "--tmax", "1", "--step", "0.5", "--m", "4",
+                    "-o", str(out_dir / "c.csv"), *change]
+        else:
+            argv = [command, square_file, square_file, "--theta", "1.0",
+                    "--h", "1,0", "--t", "1.0", "--m", "4", *change]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert name in err["message"]
+        assert not out_dir.exists()
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

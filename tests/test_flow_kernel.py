@@ -1,10 +1,10 @@
 """Tests of the blocked, direction-pruned ``FlowBatch`` kernel.
 
 The oracle is the kernel it replaced, kept here: every point tests every side,
-over the whole batch at once.  Live points must come out of both bit for bit;
-a point frozen at a reflex vertex may reach it through a side that faces
-away from the ray under the oracle, so only its position and time may differ,
-in the last bits.
+over the whole batch at once.  Live points must come out of both bit for bit,
+at their last events and at each target; a point frozen at a reflex vertex
+may reach it through a side that faces away from the ray under the oracle, so
+only its position and time may differ, in the last bits.
 """
 
 import math
@@ -29,6 +29,8 @@ from vhbilliards.spectral import _direction_batch, build_grid
 
 TIMES = (0.3, 2.0, 7.5, 20.0)
 STATE = ("x", "y", "vx", "vy", "t", "singular", "events")
+# a state after advance_to: the batch's arrays and the positions returned
+FLOWED = STATE + ("x_at", "y_at")
 
 
 class AllSidesBatch:
@@ -94,9 +96,7 @@ class AllSidesBatch:
                 break
             self._process_events(np.where(pending)[0])
         dt = np.where(self.singular, 0.0, t_target - self.t)
-        self.x += self.vx * dt
-        self.y += self.vy * dt
-        self.t = np.where(self.singular, self.t, t_target)
+        return self.x + self.vx * dt, self.y + self.vy * dt
 
     def _process_events(self, idx):
         s = self.sides
@@ -141,14 +141,16 @@ def flowed_states(table, inputs, times=TIMES):
     batch = FlowBatch(table, *inputs)
     out = []
     for t in times:
-        batch.advance_to(t)
-        out.append({k: getattr(batch, k).copy() for k in STATE})
+        x_at, y_at = batch.advance_to(t)
+        state = {k: getattr(batch, k).copy() for k in STATE}
+        state.update(x_at=x_at.copy(), y_at=y_at.copy())
+        out.append(state)
     return out
 
 
 def assert_states_equal(got, want):
     for g, w in zip(got, want):
-        for k in STATE:
+        for k in FLOWED:
             assert g[k].dtype == w[k].dtype and g[k].tobytes() == \
                 w[k].tobytes(), k
 
@@ -167,19 +169,18 @@ class TestAllSidesOracle:
         table, inputs = random_case(seed, thetas)
         oracle = AllSidesBatch(sides_of(table), *inputs)
         for t, got in zip(TIMES, flowed_states(table, inputs)):
-            oracle.advance_to(t)
+            want = {k: getattr(oracle, k) for k in STATE}
+            want["x_at"], want["y_at"] = oracle.advance_to(t)
             assert np.array_equal(got["singular"], oracle.singular)
             assert np.array_equal(got["events"], oracle.events)
             live = ~oracle.singular
-            for k in ("x", "y", "vx", "vy", "t"):
-                assert got[k][live].tobytes() == \
-                    getattr(oracle, k)[live].tobytes(), k
+            for k in ("x", "y", "vx", "vy", "t", "x_at", "y_at"):
+                assert got[k][live].tobytes() == want[k][live].tobytes(), k
             frozen = oracle.singular
             for k in ("vx", "vy"):
-                assert np.array_equal(got[k][frozen],
-                                      getattr(oracle, k)[frozen]), k
-            for k in ("x", "y", "t"):
-                assert np.allclose(got[k][frozen], getattr(oracle, k)[frozen],
+                assert np.array_equal(got[k][frozen], want[k][frozen]), k
+            for k in ("x", "y", "t", "x_at", "y_at"):
+                assert np.allclose(got[k][frozen], want[k][frozen],
                                    rtol=1e-12, atol=1e-12), k
 
     def test_events_exactly_at_the_target_are_applied(self, square):
@@ -191,11 +192,15 @@ class TestAllSidesOracle:
         batch = FlowBatch(square, *inputs)
         oracle = AllSidesBatch(sides_of(square), *inputs)
         for t, events in ((1.0, 2), (1.5, 3)):
-            batch.advance_to(t)
-            oracle.advance_to(t)
+            got = batch.advance_to(t)
+            want = oracle.advance_to(t)
             assert batch.events[0] == oracle.events[0] == events
+            # the last event is at the target, so the point sits on it
+            assert batch.t[0] == t
             for k in ("x", "y", "vx", "vy", "t"):
                 assert getattr(batch, k)[0] == getattr(oracle, k)[0], k
+            for g, w in zip(got, want):
+                assert g[0] == w[0]
 
 
 class TestBlocks:
@@ -213,7 +218,7 @@ class TestBlocks:
         parts = [flowed_states(table, [a[lo:hi] for a in inputs])
                  for lo, hi in zip(cuts, cuts[1:])]
         joined = [{k: np.concatenate([p[i][k] for p in parts])
-                   for k in STATE} for i in range(len(TIMES))]
+                   for k in FLOWED} for i in range(len(TIMES))]
         assert_states_equal(joined, want)
 
 
@@ -251,73 +256,71 @@ targets = st.lists(st.one_of(st.floats(min_value=0.0, max_value=25.0),
                    min_size=1, max_size=5).map(sorted)
 
 
-def single_jump(table, inputs, plain_before, t):
-    """A fresh batch after the plain advances ``plain_before`` and one more
-    to ``t``."""
+def one_jump(table, inputs, t):
+    """A fresh batch after one advance to ``t``, with the positions it
+    returned."""
     batch = FlowBatch(table, *inputs)
-    for s in plain_before + [t]:
-        batch.advance_to(s)
-    return batch
-
-
-def assert_matches(got_xy, batch, want):
-    for k, a in zip(("x", "y"), got_xy):
-        assert a.tobytes() == getattr(want, k).tobytes(), k
-    for k in ("singular", "events"):
-        assert getattr(batch, k).tobytes() == getattr(want, k).tobytes(), k
+    return batch, batch.advance_to(t)
 
 
 class TestAdvanceOut:
-    """``advance_to(t, out=)`` leaves the points at their last event, so a
-    batch resumed through any later targets rounds as one jump from 0."""
+    """The positions ``advance_to`` puts out: each call leaves the points at
+    their last event, so every call equals one jump from 0, whatever targets
+    came before it."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), thetas=thetas,
+           times=targets)
+    @settings(max_examples=80, deadline=None)
+    def test_out_equals_one_jump(self, seed, thetas, times):
+        table, inputs = random_case(seed, thetas)
+        batch = FlowBatch(table, *inputs)
+        pair = None
+        for t in times:
+            got = batch.advance_to(t)
+            assert batch.target == t
+            # one pair, allocated with the batch, overwritten by each call
+            assert pair is None or all(g is p for g, p in zip(got, pair))
+            pair = got
+            want, want_at = one_jump(table, inputs, t)
+            for k, g, w in zip(("x_at", "y_at"), got, want_at):
+                assert g.tobytes() == w.tobytes(), k
+            for k in STATE:
+                assert getattr(batch, k).tobytes() == \
+                    getattr(want, k).tobytes(), k
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), thetas=thetas,
            times=targets)
     @settings(max_examples=40, deadline=None)
-    def test_out_equals_one_jump(self, seed, thetas, times):
+    def test_out_calls_change_no_later_call(self, seed, thetas, times):
+        # the returned pair is the batch's output buffer, not its state:
+        # a caller writing over it changes no later call
         table, inputs = random_case(seed, thetas)
         batch = FlowBatch(table, *inputs)
         for t in times:
-            out = (np.empty_like(batch.x), np.empty_like(batch.y))
-            batch.advance_to(t, out=out)
-            assert batch.target == t
-            assert_matches(out, batch, single_jump(table, inputs, [], t))
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), thetas=thetas,
-           times=targets, plain=st.lists(st.booleans(), min_size=5,
-                                         max_size=5))
-    @settings(max_examples=40, deadline=None)
-    def test_out_calls_change_no_later_call(self, seed, thetas, times, plain):
-        # every call equals a fresh batch that made only the earlier plain
-        # calls and then a plain call to the same target
-        table, inputs = random_case(seed, thetas)
-        batch = FlowBatch(table, *inputs)
-        plain_before = []
-        for t, is_plain in zip(times, plain):
-            want = single_jump(table, inputs, plain_before, t)
-            if is_plain:
-                batch.advance_to(t)
-                got = (batch.x, batch.y)
-                for k in ("vx", "vy", "t"):
-                    assert getattr(batch, k).tobytes() == \
-                        getattr(want, k).tobytes(), k
-                plain_before.append(t)
-            else:
-                got = (np.empty_like(batch.x), np.empty_like(batch.y))
-                batch.advance_to(t, out=got)
-            assert_matches(got, batch, want)
+            got = batch.advance_to(t)
+            want, want_at = one_jump(table, inputs, t)
+            for k, g, w in zip(("x_at", "y_at"), got, want_at):
+                assert g.tobytes() == w.tobytes(), k
+            for a in got:
+                a.fill(math.nan)
 
     @pytest.mark.parametrize("target", [4.999, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("use_out", [False, True])
+    @pytest.mark.parametrize("resumed", [False, True])
     def test_earlier_or_non_finite_target_rejected(self, holed_table, target,
-                                                   use_out):
+                                                   resumed):
+        # a rejected call leaves the state and the returned pair as they
+        # were, on a fresh batch and on one resumed through an earlier target
         batch = FlowBatch(holed_table, *_direction_batch(
             build_grid(holed_table, 4), [0.7]))
-        out = (np.empty_like(batch.x), np.empty_like(batch.y))
-        batch.advance_to(5.0, out=out)
+        if resumed:
+            batch.advance_to(2.0)
+        got = batch.advance_to(5.0)
         before = {k: getattr(batch, k).copy() for k in STATE}
+        at_before = [a.copy() for a in got]
         with pytest.raises(ValueError):
-            batch.advance_to(target, out=out if use_out else None)
+            batch.advance_to(target)
         assert batch.target == 5.0
         for k in STATE:
             assert getattr(batch, k).tobytes() == before[k].tobytes(), k
+        for g, w in zip(got, at_before):
+            assert g.tobytes() == w.tobytes()

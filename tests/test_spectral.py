@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vhbilliards.dynamics import MAX_EVENTS
 from vhbilliards.errors import (
@@ -404,6 +406,39 @@ class TestCorrelation:
         finally:
             spectral.BATCH_POINT_LIMIT = old
         assert np.array_equal(full, split)
+
+
+# strictly increasing time grids
+time_grids = st.lists(st.floats(min_value=0.0, max_value=30.0),
+                      min_size=2, max_size=8, unique=True).map(sorted)
+
+
+class TestSweepTimeGrid:
+    """A sweep value at t is a function of theta, t and the grid alone."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           thetas=st.lists(st.floats(min_value=0.05, max_value=1.52),
+                           min_size=1, max_size=2),
+           times=time_grids, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_value_at_t_ignores_the_other_times(self, seed, thetas, times,
+                                                data):
+        table = random_table(np.random.default_rng(seed),
+                             hole_probability=0.6)
+        grid = build_grid(table, 6)
+        hs = [basis_function(j) for j in (2, 5)]
+        t = data.draw(st.sampled_from(times), label="t")
+        others = data.draw(st.lists(st.sampled_from(times), unique=True),
+                           label="others")
+        grids = [times, sorted(set(others) | {t}), [t]]
+        try:
+            sweeps = [sweep_correlations(grid, thetas, hs, g)[0]
+                      for g in grids]
+        except TooManySingular:
+            assume(False)
+        want = sweeps[0][..., times.index(t)]
+        for g, values in zip(grids[1:], sweeps[1:]):
+            assert values[..., g.index(t)].tobytes() == want.tobytes(), g
 
 
 class TestChainCheck:
