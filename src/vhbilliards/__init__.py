@@ -46,7 +46,6 @@ from .spectral import (  # noqa: E402
     correlation_chain_check,
     inner,
     oscillation_bound_check,
-    restrict,
     tile_average,
 )
 from .lab import (  # noqa: E402
@@ -70,7 +69,7 @@ __all__ = [
     "CorrelationSeries", "Observable", "QuadratureGrid", "SampledObservable",
     "basis_function", "build_grid", "chi", "continuous_part",
     "correlation", "correlation_chain_check", "inner",
-    "oscillation_bound_check", "restrict", "tile_average",
+    "oscillation_bound_check", "tile_average",
     "ExperimentConfig", "ThetaSetEstimate", "continuity_probe", "gdelta_demo",
     "random_table", "theta_sweep",
 ]

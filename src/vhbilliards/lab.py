@@ -33,6 +33,7 @@ from .errors import (
     GeometryError,
 )
 from .geometry import (
+    CombinatoricsWord,
     VHTable,
     approximate_pq,
     build_polygon,
@@ -467,9 +468,15 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
     the largest ladder perturbation keeping the correlation within 1/(2n).
     Demonstration data only: nothing here is a convergence claim.
     """
-    q_list = list(q_list)
-    for k, q in enumerate(q_list):
-        _check_int(f"q_list[{k}]", q)
+    if not isinstance(word, (str, CombinatoricsWord)):
+        raise ConfigError(f"word must be a string of E/N/W/S letters, "
+                          f"got {word!r}")
+    _check_int("j_max", j_max)
+    _check_int("seed", seed)
+    q_list, n_list = list(q_list), list(n_list)
+    for name, values in (("q_list", q_list), ("n_list", n_list)):
+        for k, v in enumerate(values):
+            _check_int(f"{name}[{k}]", v)
     if not q_list:
         raise ConfigError("q_list must be nonempty")
     if any(b <= a for a, b in zip(q_list, q_list[1:])):

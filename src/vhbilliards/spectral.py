@@ -7,15 +7,14 @@ a multiple of both tiling denominators the grid is *aligned*: every cell lies
 in exactly one rectangle tile, which makes the tile-average projector exactly
 idempotent and self-adjoint at the discrete level.
 
-Observables are finite trigonometric sums over the table's bounding box;
-restriction multiplies by the indicator of the (closed) table, evaluated with
-the crossing rule of :mod:`geometry` on the table's float sides.
-
-One rule evaluates an observable ``h`` on points: a :class:`SampledObservable`
-yields its stored values, after checking that it belongs to a grid compatible
-with the one being evaluated on (it has no values anywhere else); anything
-else is called as ``h.evaluate(xs, ys, width, height)``.  Bare callables and
-raw arrays are not observables; wrap grid values in a ``SampledObservable``.
+There are three kinds of observable: trigonometric sums over the table's
+bounding box (:class:`Observable`), their analytic tile average
+(:class:`TileAverageObservable`) and values at the points of one grid
+(:class:`SampledObservable`).  On a grid, ``_grid_values`` hands back a
+sampled observable's stored values after checking that its grid is
+compatible; every other observable is evaluated as ``h.evaluate(xs, ys,
+width, height)``, where ``SampledObservable.evaluate`` raising
+:class:`GridMismatch` is the typed failure at any other points.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import MAX_EVENTS, FlowBatch, sides_of
+from .dynamics import MAX_EVENTS, FlowBatch
 from .errors import GridMismatch, TooManySingular, UnalignedGrid
 from .geometry import (
     TilingCertificate,
@@ -64,7 +63,7 @@ def _eval_trig(coeffs: Sequence[tuple[int, int, complex]],
         if kx == 0 and ky == 0:
             out += c.real
             continue
-        if (kx, ky) < (0, 0) or (kx, ky) < (-kx, -ky):
+        if (kx, ky) < (-kx, -ky):
             continue  # handled through its mirror partner
         if kx:
             np.multiply(2.0 * math.pi * kx / width, xs, out=phase)
@@ -162,53 +161,6 @@ def basis_function(j: int) -> Observable:
     rep_index, kind = divmod(j - 2, 2)
     kx, ky = next(islice(_frequency_reps(), rep_index, None))
     return Observable.cosine(kx, ky) if kind == 0 else Observable.sine(kx, ky)
-
-
-@dataclass(frozen=True)
-class RestrictedObservable:
-    """An observable multiplied by the indicator of the (closed) table."""
-
-    base: "Observable | RestrictedObservable | TileAverageObservable"
-    table: VHTable
-
-    def restrict(self, table: VHTable) -> "RestrictedObservable":
-        # restriction to the same table is idempotent by definition
-        if table == self.table:
-            return self
-        return RestrictedObservable(self, table)
-
-    def evaluate(self, xs, ys, width: float, height: float) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        vals = self.base.evaluate(xs, ys, width, height)
-        return vals * _inside_mask(self.table, xs, ys)
-
-
-def restrict(h, table: VHTable) -> RestrictedObservable:
-    """Restriction h -> h * indicator(table); idempotent per table."""
-    if isinstance(h, RestrictedObservable):
-        return h.restrict(table)
-    return RestrictedObservable(h, table)
-
-
-def _inside_mask(table: VHTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Closed-table indicator at float points (boundary counts as inside).
-
-    Vectorized form of the crossing rule of :mod:`geometry` on the side
-    view's arrays, whose spans are not widened: a point is inside when it
-    lies on a side or an odd number of horizontal sides whose x-span
-    [lo, hi) holds it lie above it.
-    """
-    s = sides_of(table)
-    odd = np.zeros(xs.shape, dtype=bool)
-    on_side = np.zeros(xs.shape, dtype=bool)
-    for axis, c, lo, hi in zip(s.axis.tolist(), s.coord.tolist(),
-                               s.lo.tolist(), s.hi.tolist()):
-        across, along = (ys, xs) if axis else (xs, ys)
-        if axis:
-            odd ^= (xs >= lo) & (xs < hi) & (ys < c)
-        on_side |= (across == c) & (along >= lo) & (along <= hi)
-    return (odd | on_side).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +324,7 @@ def norm(h, grid: QuadratureGrid) -> float:
 
 
 def tile_average(h, cert: TilingCertificate, grid: QuadratureGrid) -> SampledObservable:
-    """Average the restricted observable over the rectangle tiles.
+    """Average the observable over the rectangle tiles.
 
     Each congruence class of grid points modulo the (1/p, 1/q) lattice is
     replaced by its mean; the result is (1/p, 1/q)-periodic across the table
@@ -394,7 +346,7 @@ def continuous_part(h, cert: TilingCertificate,
                     grid: QuadratureGrid) -> SampledObservable:
     """Residual after removing the tile average; integrates to ~0."""
     values = grid.evaluate(h)
-    avg = tile_average(h, cert, grid)
+    avg = tile_average(SampledObservable(grid, values), cert, grid)
     return SampledObservable(grid, values - avg.values)
 
 
@@ -460,7 +412,7 @@ class TileAverageObservable:
 
 @dataclass
 class CorrelationSeries:
-    """Time autocorrelation of a restricted observable under the flow."""
+    """Time autocorrelation of an observable under the flow."""
 
     times: np.ndarray
     values: np.ndarray
@@ -667,7 +619,7 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     if not grid.aligned_for(cert):
         raise UnalignedGrid("chain check needs a tile-aligned grid")
     h_vals = grid.evaluate(h)
-    hd = tile_average(h, cert, grid)
+    hd = tile_average(SampledObservable(grid, h_vals), cert, grid)
     hc_vals = h_vals - hd.values
     level_mean = float(np.sum(h_vals) / grid.npts)      # <h_a, chi>
     level = level_mean ** 2
@@ -817,13 +769,15 @@ def series_to_csv(series: CorrelationSeries, path) -> None:
 def series_summary(series: CorrelationSeries, table: VHTable, h,
                    grid: QuadratureGrid) -> dict:
     from .geometry import table_to_dict
-    descriptor = h.descriptor() if hasattr(h, "descriptor") else repr(h)
+    if not isinstance(h, Observable):
+        raise TypeError(f"only an Observable has a descriptor, not a "
+                        f"{type(h).__name__}")
     return {
         "version": _version,
         "table": table_to_dict(table),
         "table_hash": table_hash(table),
         "theta": series.meta.get("theta"),
-        "observable": descriptor,
+        "observable": h.descriptor(),
         "grid_m": grid.m,
         "level": series.level,
         "norm_sq": series.norm_sq,

@@ -471,11 +471,16 @@ class TestTypedInputs:
         ("gdelta-demo", {"area_band": 3}, "area_band"),
         ("gdelta-demo", {"area_band": [1, "x"]}, "area_band[1]"),
         ("gdelta-demo", {"q_list": "ab"}, "q_list[0]"),
+        ("gdelta-demo", {"word": 3}, "word"),
+        ("gdelta-demo", {"j_max": "x"}, "j_max"),
+        ("gdelta-demo", {"seed": "x"}, "seed"),
+        ("gdelta-demo", {"n_list": ["a"]}, "n_list[0]"),
         ("correlate", ["--m", "0"], "--m"),
         ("continuity", ["--m", "-3"], "--m"),
         ("continuity", ["--t", "1,x"], "--t"),
     ], ids=["band-zero-denominator", "band-number", "band-word",
-            "q-list-string", "correlate-m-zero", "continuity-m-negative",
+            "q-list-string", "word-number", "j-max-word", "seed-word",
+            "n-list-word", "correlate-m-zero", "continuity-m-negative",
             "continuity-t-word"])
     def test_mistyped_input_exits_1(self, square_file, tmp_path, capsys,
                                     command, change, name):

@@ -344,6 +344,14 @@ class TestContainsPoint:
         near = (Fraction(5, 4) - Fraction(1, 10**12), Fraction(3, 2))
         assert contains_point(holed_table, near) is PointLocation.INTERIOR
 
+    def test_points_in_line_with_vertices(self, holed_table):
+        # x = 2 passes the notch's corner above (2, 1.5), and x = 1.25 and
+        # 1.75 pass the hole's corners; the half-open rule must count the
+        # crossings there once
+        pts = [(2.0, 1.5), (1.25, 1.1), (1.75, 1.1), (3.0, 2.5), (2.0, 3.5)]
+        assert [contains_point(holed_table, p) for p in pts] == \
+            [PointLocation.INTERIOR] * 3 + [PointLocation.EXTERIOR] * 2
+
 
 # ---------------------------------------------------------------------------
 # tiling certificates

@@ -45,14 +45,11 @@ from vhbilliards.spectral import (
     correlation_chain_check,
     inner,
     oscillation_bound_check,
-    restrict,
     series_summary,
     series_to_csv,
     sweep_correlations,
     tile_average,
 )
-
-from conftest import walked_loops
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +141,15 @@ class TestGrid:
         with pytest.raises(GridMismatch):
             inner(sampled, chi(lshape_grid), lshape_grid)
 
+    def test_sampled_observable_off_its_grid(self, square_grid):
+        # a sampled observable has values only at its grid points, so the
+        # flowed factor of a correlation raises instead of reading them
+        h = chi(square_grid)
+        with pytest.raises(GridMismatch):
+            sweep_correlations(square_grid, [1.0], [h], [0.5])
+        with pytest.raises(GridMismatch):
+            correlation(square_grid.table, 1.0, h, [0.5], grid=square_grid)
+
     def test_correlation_rejects_another_tables_grid(self, square_grid):
         h = Observable.cosine(1, 0)
         with pytest.raises(GridMismatch):
@@ -178,67 +184,6 @@ class TestInner:
         lhs = inner(h3, h2, lshape_grid)
         rhs = inner(h1, h2, lshape_grid) + 0.5 * inner(h2, h2, lshape_grid)
         assert abs(lhs - rhs) < 1e-12
-
-
-class TestRestrict:
-    def test_idempotent(self, square_grid):
-        table = square_grid.table
-        h = restrict(Observable.cosine(1, 0), table)
-        again = restrict(h, table)
-        assert again is h
-
-    def test_constant_restricts_to_indicator(self):
-        table = unit_square()
-        h = restrict(Observable.constant(1.0), table)
-        inside = h.evaluate(np.array([1.5]), np.array([1.5]), 1.0, 1.0)
-        outside = h.evaluate(np.array([0.5]), np.array([3.5]), 1.0, 1.0)
-        assert inside[0] == 1.0 and outside[0] == 0.0
-
-    def test_outside_point_is_zero(self, lshape_table=None):
-        table = lshape()
-        h = restrict(Observable.cosine(1, 0), table)
-        val = h.evaluate(np.array([2.5]), np.array([2.5]), 2.0, 2.0)
-        assert val[0] == 0.0  # the notch
-
-
-    def test_constant_matches_contains_point(self, holed_table):
-        rng = np.random.default_rng(57)
-        for table in [holed_table] + [random_table(rng) for _ in range(10)]:
-            (x0, y0), (x1, y1) = table.bbox
-            xs = float(x0) - 0.2 + (float(x1 - x0) + 0.4) * rng.random(400)
-            ys = float(y0) - 0.2 + (float(y1 - y0) + 0.4) * rng.random(400)
-            # keep points away from every vertex and side line
-            verts = [v for loop, _, _ in walked_loops(table) for v in loop]
-            lines_x = [float(x) for x, _ in verts]
-            lines_y = [float(y) for _, y in verts]
-            away = np.ones(xs.shape, dtype=bool)
-            for c in lines_x:
-                away &= np.abs(xs - c) > 1e-6
-            for c in lines_y:
-                away &= np.abs(ys - c) > 1e-6
-            xs, ys = xs[away], ys[away]
-            got = restrict(Observable.constant(1.0), table).evaluate(
-                xs, ys, 1.0, 1.0)
-            want = [float(contains_point(table, (float(x), float(y)))
-                          is PointLocation.INTERIOR) for x, y in zip(xs, ys)]
-            assert got.tolist() == want
-
-    def test_boundary_counts_as_inside(self, holed_table):
-        h = restrict(Observable.constant(1.0), holed_table)
-        xs = np.array([1.25, 1.5, 3.0, 2.0, 1.0])
-        ys = np.array([1.5, 1.75, 1.5, 3.0, 1.0])
-        assert h.evaluate(xs, ys, 1.0, 1.0).tolist() == [1.0] * 5
-
-    def test_points_in_line_with_vertices(self, holed_table):
-        # x = 2 passes the notch's corner above (2, 1.5); the half-open rule
-        # must count the crossings there once
-        h = restrict(Observable.constant(1.0), holed_table)
-        pts = [(2.0, 1.5), (1.25, 1.1), (1.75, 1.1), (3.0, 2.5), (2.0, 3.5)]
-        want = [float(contains_point(holed_table, p) is PointLocation.INTERIOR)
-                for p in pts]
-        assert want == [1.0, 1.0, 1.0, 0.0, 0.0]
-        xs, ys = (np.array(v) for v in zip(*pts))
-        assert h.evaluate(xs, ys, 1.0, 1.0).tolist() == want
 
 
 class TestTileAverage:
@@ -812,3 +757,15 @@ class TestExports:
         assert summary["grid_m"] == 32
         assert summary["observable"] == h.descriptor()
         assert "table_hash" in summary
+
+    def test_summary_describes_only_trigonometric_sums(self, square_grid,
+                                                       lshape_grid):
+        s = correlation(unit_square(), 1.0, Observable.cosine(1, 0), [0.5],
+                        grid=square_grid)
+        table = lshape_grid.table
+        hd = TileAverageObservable(Observable.cosine(1, 0), table,
+                                   tiling_parameters(table))
+        for h, kind in ((hd, "TileAverageObservable"),
+                        (chi(square_grid), "SampledObservable")):
+            with pytest.raises(TypeError, match=kind):
+                series_summary(s, unit_square(), h, square_grid)
