@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error (bad tables, words, configs),
-2 numerical abort (singular orbits, event budgets, dropped quadrature mass).
-Errors are emitted as one JSON object on stderr so callers can parse them.
+Exit codes: 0 success, 1 validation error (bad tables, words, configs,
+options, and unreadable or malformed files), 2 numerical abort (singular
+orbits, event budgets, dropped quadrature mass).  Errors are emitted as one
+JSON object on stderr so callers can parse them; any other exception is a
+bug and escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .spectral import (
 )
 from .lab import (
     ExperimentConfig,
+    _require,
     continuity_probe,
     gdelta_demo,
     gdelta_summary,
@@ -85,11 +88,6 @@ def _parse_h(selector: str) -> Observable:
     if kx == 0 and ky == 0:
         return Observable.constant(1.0)
     return Observable.cosine(kx, ky)
-
-
-def _check_m(m: int) -> None:
-    if m < 1:
-        raise ConfigError(f"--m must be a positive integer, got {m}")
 
 
 def _parse_times(text: str) -> list[float]:
@@ -149,6 +147,9 @@ def _cmd_tile(args) -> int:
 
 
 def _cmd_approximate(args) -> int:
+    _require(args.Q >= 1, f"--Q must be a positive integer, got {args.Q}")
+    _require(math.isfinite(args.eta) and args.eta > 0,
+             f"--eta must be a positive finite number, got {args.eta}")
     table = load_table(args.table)
     snapped = approximate_pq(table, args.Q, Fraction(str(args.eta)))
     cert = snapped.certificate
@@ -161,11 +162,11 @@ def _cmd_approximate(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    if not args.time >= 0:
-        raise ConfigError(f"--time must be nonnegative, got {args.time}")
-    if args.max_events < 0:
-        raise ConfigError(
-            f"--max-events must be nonnegative, got {args.max_events}")
+    _require(args.time >= 0, f"--time must be nonnegative, got {args.time}")
+    _require(args.max_events >= 0,
+             f"--max-events must be nonnegative, got {args.max_events}")
+    for flag, v in (("--x", args.x), ("--y", args.y)):
+        _require(math.isfinite(v), f"{flag} must be a finite number, got {v}")
     table = load_table(args.table)
     if contains_point(table, (args.x, args.y)) is PointLocation.EXTERIOR:
         raise ConfigError(
@@ -188,16 +189,16 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise ConfigError(
-            f"--step must be a positive finite number, got {args.step}")
-    if not (math.isfinite(args.tmax) and args.tmax >= args.step):
-        raise ConfigError(
-            f"--tmax must be finite and at least --step {args.step}, "
-            f"got {args.tmax}")
-    if args.budget < 0:
-        raise ConfigError(f"--budget must be nonnegative, got {args.budget}")
-    _check_m(args.m)
+    _require(math.isfinite(args.step) and args.step > 0,
+             f"--step must be a positive finite number, got {args.step}")
+    _require(math.isfinite(args.tmax) and args.tmax >= args.step,
+             f"--tmax must be finite and at least --step {args.step}, "
+             f"got {args.tmax}")
+    _require(args.budget >= 0,
+             f"--budget must be nonnegative, got {args.budget}")
+    _require(math.isfinite(args.theta),
+             f"--theta must be a finite number, got {args.theta}")
+    _require(args.m >= 1, f"--m must be a positive integer, got {args.m}")
     table = load_table(args.table)
     h = _parse_h(args.h)
     grid = build_grid(table, args.m)
@@ -239,7 +240,9 @@ def _cmd_theta_sweep(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
-    _check_m(args.m)
+    _require(math.isfinite(args.theta),
+             f"--theta must be a finite number, got {args.theta}")
+    _require(args.m >= 1, f"--m must be a positive integer, got {args.m}")
     t_list = _parse_times(args.t)
     table_a = load_table(args.table_a)
     table_b = load_table(args.table_b)
@@ -260,6 +263,9 @@ def _cmd_gdelta_demo(args) -> int:
         cfg = json.load(fh)
     check_config_keys(cfg, _GDELTA_REQUIRED,
                       _GDELTA_REQUIRED + _GDELTA_OPTIONAL, "gdelta-demo config")
+    out_dir = cfg.get("out_dir", ".")
+    _require(isinstance(out_dir, str),
+             f"out_dir must be a path, got {out_dir!r}")
     # seed and theta_count take gdelta_demo's defaults when not set
     options = {k: cfg[k] for k in ("seed", "theta_count") if k in cfg}
     report = gdelta_demo(
@@ -271,7 +277,7 @@ def _cmd_gdelta_demo(args) -> int:
         cfg["grid_m"],
         **options,
     )
-    out_dir = Path(cfg.get("out_dir", "."))
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gdelta_to_csv(report, out_dir / "gdelta.csv")
     _write_json(gdelta_summary(report), out_dir / "gdelta_summary.json")
@@ -368,8 +374,8 @@ def main(argv=None) -> int:
         return _fail(err, 2)
     except BilliardError as err:
         return _fail(err, 1)
-    except (OSError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as err:
+    # anything else is a bug and keeps its traceback
+    except (OSError, json.JSONDecodeError) as err:
         return _fail(err, 1)
 
 

@@ -73,17 +73,17 @@ _BLOCK_POINTS = 8192
 # directions and phase points
 # ---------------------------------------------------------------------------
 
-def is_pi_commensurable(theta: float, depth: int = 40, tol: float = 1e-12) -> bool:
+def is_pi_commensurable(theta: float) -> bool:
     """Heuristic continued-fraction test of theta/pi being rational.
 
     Used only to label experiment outputs; float noise makes a rigorous test
     impossible.
     """
     x = theta / math.pi
-    for _ in range(depth):
+    for _ in range(40):  # partial quotients
         a = math.floor(x)
         frac = x - a
-        if frac < tol:
+        if frac < 1e-12:
             return True
         x = 1.0 / frac
     return False
@@ -710,9 +710,9 @@ def orbit_to_csv(history: OrbitSegmentList, path) -> None:
                         fd.sx, fd.sy, -1])
 
 
-def orbit_to_svg(history: OrbitSegmentList, path,
-                 scale: float = 200.0) -> None:
+def orbit_to_svg(history: OrbitSegmentList, path) -> None:
     """Table outline plus the orbit polyline, y-axis flipped for SVG."""
+    scale = 200.0  # pixels per unit length
     table = history.table
     (x0, y0), (x1, y1) = table.bbox
     pad = 0.1 * float(max(x1 - x0, y1 - y0))

@@ -19,9 +19,12 @@ import csv
 import json
 import math
 import numbers
+import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -51,8 +54,11 @@ from .spectral import (
     sweep_correlations,
 )
 
-#: default perturbation ladder for stability probes (largest first)
-DEFAULT_D_LADDER = (Fraction(1, 25), Fraction(1, 50), Fraction(1, 100))
+#: perturbation ladder of the genericity demo's stability probes
+D_LADDER = (Fraction(1, 25), Fraction(1, 50), Fraction(1, 100))
+
+#: direction of the genericity demo's stability probes
+PROBE_THETA = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -81,37 +87,36 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _require(isinstance(self.table_path, (str, os.PathLike)),
+                 f"table_path must be a path, got {self.table_path!r}")
+        _require(isinstance(self.out_dir, (str, os.PathLike, type(None))),
+                 f"out_dir must be a path, got {self.out_dir!r}")
         for name in ("count", "seed", "n_gap", "grid_m", "workers"):
             _check_int(name, getattr(self, name))
         _check_real("tau", self.tau)
         if self.step is not None:
             _check_real("step", self.step)
-            if self.step <= 0:
-                raise ConfigError("step must be positive")
-        if not isinstance(self.h_indices, tuple):
-            raise ConfigError("h_indices must be a list of integers")
+            _require(self.step > 0, "step must be positive")
+        _require(isinstance(self.h_indices, tuple),
+                 "h_indices must be a list of integers")
         for j in self.h_indices:
             _check_int("h_indices", j)
-        if self.count <= 0:
-            raise ConfigError("theta sample count must be positive")
-        if self.n_gap <= 0:
-            raise ConfigError("n_gap must be a positive integer")
-        if not self.n_gap < self.tau:
-            raise ConfigError("need n_gap < tau for a nonempty window")
-        if self.grid_m <= 0:
-            raise ConfigError("grid resolution must be positive")
-        if any(j < 1 for j in self.h_indices) or not self.h_indices:
-            raise ConfigError("h_indices must be 1-based basis indices")
-        if self.effective_step > 1.0 / (4.0 * self.n_gap) + 1e-15:
-            raise ConfigError(
-                f"step {self.effective_step} exceeds 1/(4*n_gap) = "
-                f"{1.0 / (4 * self.n_gap)}; dips below 1/n_gap could be missed")
-        if self.time_grid().size == 0:
-            raise ConfigError(
-                f"the window (n_gap, tau] = ({self.n_gap}, {self.tau}] holds "
-                f"no time step of {self.effective_step}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        _require(self.count > 0, "theta sample count must be positive")
+        _require(self.seed >= 0, f"seed must be nonnegative, got {self.seed}")
+        _require(self.n_gap > 0, "n_gap must be a positive integer")
+        _require(self.n_gap < self.tau,
+                 "need n_gap < tau for a nonempty window")
+        _require(self.grid_m > 0, "grid resolution must be positive")
+        _require(self.h_indices and all(j >= 1 for j in self.h_indices),
+                 "h_indices must be 1-based basis indices")
+        _require(self.effective_step <= 1.0 / (4.0 * self.n_gap) + 1e-15,
+                 f"step {self.effective_step} exceeds 1/(4*n_gap) = "
+                 f"{1.0 / (4 * self.n_gap)}; dips below 1/n_gap could be "
+                 "missed")
+        _require(self.time_grid().size > 0,
+                 f"the window (n_gap, tau] = ({self.n_gap}, {self.tau}] holds "
+                 f"no time step of {self.effective_step}")
+        _require(self.workers >= 1, "workers must be >= 1")
 
     @property
     def effective_step(self) -> float:
@@ -132,8 +137,8 @@ class ExperimentConfig:
         check_config_keys(raw, required, [f.name for f in fields(cls)],
                           "sweep config")
         h_indices = raw.get("h_indices", [1])
-        if not isinstance(h_indices, list):
-            raise ConfigError("h_indices must be a list of integers")
+        _require(isinstance(h_indices, list),
+                 "h_indices must be a list of integers")
         raw["h_indices"] = tuple(h_indices)
         return cls(**raw)
 
@@ -142,6 +147,20 @@ def _check_int(name: str, value) -> None:
     # bool is an int subclass, but true/false in a config is a typo
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _int_list(name: str, values) -> list:
+    _require(isinstance(values, Iterable),
+             f"{name} must be a list of integers, got {values!r}")
+    values = list(values)
+    for k, v in enumerate(values):
+        _check_int(f"{name}[{k}]", v)
+    return values
 
 
 def _check_real(name: str, value) -> None:
@@ -179,17 +198,7 @@ class ThetaSetEstimate:
     measure: float
     half_width: float
     level: float
-    n_gap: int
-    tau: float
-    step: float
-    seed: int
     dropped_max: float
-
-
-def _sweep_job(args) -> tuple[np.ndarray, np.ndarray]:
-    table, m, thetas, hs, t_grid = args
-    grid = build_grid(table, m)
-    return sweep_correlations(grid, thetas, hs, t_grid)
 
 
 def theta_sweep(config: ExperimentConfig,
@@ -211,12 +220,11 @@ def theta_sweep(config: ExperimentConfig,
     if config.workers == 1 or config.count == 1:
         values, dropped = sweep_correlations(grid, thetas, hs, t_grid)
     else:
-        blocks = np.array_split(np.arange(config.count),
-                                min(config.workers, config.count))
-        jobs = [(table, config.grid_m, thetas[b], hs, t_grid)
-                for b in blocks if b.size]
+        # each worker gets the built grid and one block of directions
+        blocks = np.array_split(thetas, min(config.workers, config.count))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_sweep_job, jobs))
+            parts = list(pool.map(sweep_correlations, repeat(grid), blocks,
+                                  repeat(hs), repeat(t_grid)))
         values = np.concatenate([p[0] for p in parts], axis=1)
         dropped = np.concatenate([p[1] for p in parts])
 
@@ -242,10 +250,6 @@ def theta_sweep(config: ExperimentConfig,
             measure=measure,
             half_width=half_width,
             level=level,
-            n_gap=config.n_gap,
-            tau=config.tau,
-            step=config.effective_step,
-            seed=config.seed,
             dropped_max=float(dropped.max()),
         ))
     return out
@@ -315,26 +319,29 @@ def continuity_probe(table_a: VHTable, table_b: VHTable, theta: float,
                      h, t_list, m: int) -> ContinuityReport:
     """Compare correlations of two same-combinatorics tables.
 
-    The observable is evaluated against table_a's bounding box on both
-    tables, so only the table varies between the two runs.
+    The observable is evaluated in table_a's frame (its grid's bounding
+    box) on both tables, so only the table varies between the two runs.
     """
     _check_same_combinatorics(table_a, table_b)
-    series_a = correlation(table_a, theta, h, t_list, m=m)
-    return _probe_against(series_a, table_a, table_b, theta, h, m)
+    grid_a = build_grid(table_a, m)
+    series_a = correlation(table_a, theta, h, t_list, grid_a)
+    return _probe_against(series_a, grid_a, table_b, theta, h)
 
 
-def _probe_against(series_a, table_a: VHTable, table_b: VHTable,
-                   theta: float, h, m: int) -> ContinuityReport:
+def _probe_against(series_a, grid_a, table_b: VHTable,
+                   theta: float, h) -> ContinuityReport:
     """Continuity report of table_b against ``series_a``, the correlation of
-    the same observable on table_a at its own resolution-m grid.
+    the same observable on ``grid_a``, table_a's grid.
 
+    Table_b's grid has the same resolution and takes grid_a's frame.
     Callers probing many tables against one table_a compute series_a once.
     """
+    table_a = grid_a.table
     d = parameter_distance(table_a.outer, table_a.holes,
                            table_b.outer, table_b.holes)
-    (x0, y0), (x1, y1) = table_a.bbox
-    box = (float(x1 - x0), float(y1 - y0))
-    series_b = correlation(table_b, theta, h, series_a.times, m=m, box=box)
+    grid_b = replace(build_grid(table_b, grid_a.m),
+                     width=grid_a.width, height=grid_a.height)
+    series_b = correlation(table_b, theta, h, series_a.times, grid_b)
     delta = np.abs(series_a.values - series_b.values)
     max_delta = float(delta.max()) if delta.size else 0.0
     ratio = max_delta / float(d) if d > 0 else 0.0
@@ -369,13 +376,13 @@ def perturb_length(table: VHTable, index: int, delta) -> VHTable:
 TEMPLATE_WORDS = ("ENWS", "ENWNWS", "ENENWNWSWS")
 
 
-def _random_lengths(word, rng: np.random.Generator,
-                    denominators=(1, 2, 3, 4, 5), max_numerator=6):
+def _random_lengths(word, rng: np.random.Generator):
     from .geometry import _repair_class_sums, parse_word  # deterministic repair
 
     w = parse_word(word) if isinstance(word, str) else word
-    lens = [Fraction(int(rng.integers(1, max_numerator + 1)),
-                     int(rng.choice(denominators)))
+    # numerators 1..6 over denominators 1..5
+    lens = [Fraction(int(rng.integers(1, 7)),
+                     int(rng.choice((1, 2, 3, 4, 5))))
             for _ in range(len(w))]
     q = 1
     for v in lens:
@@ -384,14 +391,13 @@ def _random_lengths(word, rng: np.random.Generator,
 
 
 def random_table(rng: np.random.Generator, word=None,
-                 hole_probability: float = 0.3,
-                 max_attempts: int = 200) -> VHTable:
+                 hole_probability: float = 0.3) -> VHTable:
     """Rejection-sample a valid table with exact rational lengths.
 
     Words come from ``TEMPLATE_WORDS`` unless given; self-intersecting draws
     are rejected; a rectangular hole is attempted with the given probability.
     """
-    for _ in range(max_attempts):
+    for _ in range(200):
         chosen = word if word is not None else \
             TEMPLATE_WORDS[int(rng.integers(0, len(TEMPLATE_WORDS)))]
         try:
@@ -408,11 +414,11 @@ def random_table(rng: np.random.Generator, word=None,
     raise ConfigError(f"could not sample a valid table for word {word!r}")
 
 
-def _try_add_hole(table: VHTable, rng: np.random.Generator,
-                  attempts: int = 20) -> VHTable | None:
+def _try_add_hole(table: VHTable,
+                  rng: np.random.Generator) -> VHTable | None:
     from .geometry import TABLE_ANCHOR
 
-    for _ in range(attempts):
+    for _ in range(20):
         den = int(rng.integers(2, 7))
         hw = Fraction(int(rng.integers(1, 3)), den)
         hh = Fraction(int(rng.integers(1, 3)), den)
@@ -455,9 +461,7 @@ class GDeltaReport:
 
 def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                 seed: int = 0, theta_count: int = 32,
-                tau_factor: int = 8,
-                d_ladder=DEFAULT_D_LADDER,
-                probe_theta: float = 1.0) -> GDeltaReport:
+                tau_factor: int = 8) -> GDeltaReport:
     """Tabulate empirical window lengths and stability radii over a ladder of
     lattice refinements of one combinatorics class.
 
@@ -465,24 +469,24 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
     ``area_band`` is snapped to the lattice; for every basis index and gap
     level the sweep measure is evaluated on a doubling ladder of window ends
     (reporting the first one reaching 1 - 1/n^2), and the stability radius is
-    the largest ladder perturbation keeping the correlation within 1/(2n).
+    the largest rung of ``D_LADDER`` keeping the correlation at
+    ``PROBE_THETA`` within 1/(2n), probed on one grid per snapped table.
     Demonstration data only: nothing here is a convergence claim.
     """
-    if not isinstance(word, (str, CombinatoricsWord)):
-        raise ConfigError(f"word must be a string of E/N/W/S letters, "
-                          f"got {word!r}")
-    _check_int("j_max", j_max)
-    _check_int("seed", seed)
-    q_list, n_list = list(q_list), list(n_list)
-    for name, values in (("q_list", q_list), ("n_list", n_list)):
-        for k, v in enumerate(values):
-            _check_int(f"{name}[{k}]", v)
-    if not q_list:
-        raise ConfigError("q_list must be nonempty")
-    if any(b <= a for a, b in zip(q_list, q_list[1:])):
-        raise ConfigError("q_list must be strictly increasing")
-    if j_max < 1 or not n_list:
-        raise ConfigError("need j_max >= 1 and a nonempty n_list")
+    _require(isinstance(word, (str, CombinatoricsWord)),
+             f"word must be a string of E/N/W/S letters, got {word!r}")
+    for name, value, least in (("j_max", j_max, 1), ("grid_m", m, 1),
+                               ("theta_count", theta_count, 1),
+                               ("tau_factor", tau_factor, 2),
+                               ("seed", seed, 0)):
+        _check_int(name, value)
+        _require(value >= least,
+                 f"{name} must be at least {least}, got {value}")
+    q_list, n_list = _int_list("q_list", q_list), _int_list("n_list", n_list)
+    _require(q_list, "q_list must be nonempty")
+    _require(q_list[0] >= 1 and all(a < b for a, b in zip(q_list, q_list[1:])),
+             "q_list must be positive and strictly increasing")
+    _require(n_list, "n_list must be nonempty")
     lo, hi = (Fraction(area_band[0]), Fraction(area_band[1]))
 
     rng = np.random.default_rng(seed)
@@ -495,20 +499,18 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
             if lo <= cand.area <= hi:
                 base = cand
                 break
-        if base is None:
-            raise ConfigError(
-                f"no random table with area in [{lo}, {hi}] after 1000 draws")
+        _require(base is not None,
+                 f"no random table with area in [{lo}, {hi}] after 1000 draws")
         snapped = approximate_pq(base, q_min, eta=Fraction(1))
         tables.append(snapped)
         thash = table_hash(snapped)
+        grid = build_grid(snapped, m)
 
         for j in range(1, j_max + 1):
             for n_gap in n_list:
-                tau_ladder = []
-                factor = 2
-                while factor <= tau_factor:
-                    tau_ladder.append(n_gap * factor)
-                    factor *= 2
+                # window ends n_gap * 2, 4, 8, ... up to n_gap * tau_factor
+                tau_ladder = [n_gap * 2 ** k
+                              for k in range(1, tau_factor.bit_length())]
                 cfg = ExperimentConfig(
                     table_path="<in-memory>", count=theta_count,
                     seed=seed + 7919 * i + 131 * j + n_gap,
@@ -525,22 +527,19 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                         tau_emp, measure = float(tau), meas
                         break
 
-                window_t = [n_gap + 0.25 * (tau_emp - n_gap),
-                            n_gap + 0.5 * (tau_emp - n_gap),
-                            n_gap + 0.75 * (tau_emp - n_gap)]
-                eta_emp = 0.0
-                eta_capped = False
-                max_delta_at_eta = math.nan
+                window_t = [n_gap + f * (tau_emp - n_gap)
+                            for f in (0.25, 0.5, 0.75)]
+                eta_emp, max_delta_at_eta = 0.0, math.nan
                 h = basis_function(j)
                 # the unperturbed series is shared by every rung; a package
                 # error on any step ends the ladder at the last stable rung
                 try:
-                    series_a = correlation(snapped, probe_theta, h, window_t,
-                                           m=m)
-                    for d in sorted(d_ladder):
-                        rep = _probe_against(series_a, snapped,
+                    series_a = correlation(snapped, PROBE_THETA, h, window_t,
+                                           grid)
+                    for d in sorted(D_LADDER):
+                        rep = _probe_against(series_a, grid,
                                              perturb_length(snapped, 0, d),
-                                             probe_theta, h, m)
+                                             PROBE_THETA, h)
                         if rep.max_delta <= 1.0 / (2.0 * n_gap):
                             eta_emp = float(d)
                             max_delta_at_eta = rep.max_delta
@@ -548,15 +547,14 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                             break
                 except BilliardError:
                     pass
-                if eta_emp == float(max(d_ladder)):
-                    eta_capped = True
 
                 rows.append(GDeltaRow(
                     table_index=i, q_min=q_min, table_hash=thash,
                     h_index=j, n_gap=n_gap, tau_emp=tau_emp,
                     measure=measure, measure_target=target,
                     target_met=measure >= target,
-                    eta_emp=eta_emp, eta_capped=eta_capped,
+                    eta_emp=eta_emp,
+                    eta_capped=eta_emp == float(max(D_LADDER)),
                     max_delta_at_eta=max_delta_at_eta))
     meta = {
         "version": _version,
@@ -565,11 +563,11 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
         "area_band": [str(lo), str(hi)],
         "q_list": q_list,
         "j_max": j_max,
-        "n_list": list(n_list),
+        "n_list": n_list,
         "grid_m": m,
         "theta_count": theta_count,
-        "d_ladder": [str(d) for d in d_ladder],
-        "probe_theta": probe_theta,
+        "d_ladder": [str(d) for d in D_LADDER],
+        "probe_theta": PROBE_THETA,
         "note": "empirical surrogates; eta values are finite-probe estimates "
                 "capped at the ladder maximum",
     }

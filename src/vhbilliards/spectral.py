@@ -7,14 +7,16 @@ a multiple of both tiling denominators the grid is *aligned*: every cell lies
 in exactly one rectangle tile, which makes the tile-average projector exactly
 idempotent and self-adjoint at the discrete level.
 
-There are three kinds of observable: trigonometric sums over the table's
-bounding box (:class:`Observable`), their analytic tile average
+There are three kinds of observable: trigonometric sums over a frame
+``(width, height)`` (:class:`Observable`), their analytic tile average
 (:class:`TileAverageObservable`) and values at the points of one grid
-(:class:`SampledObservable`).  On a grid, ``_grid_values`` hands back a
-sampled observable's stored values after checking that its grid is
-compatible; every other observable is evaluated as ``h.evaluate(xs, ys,
-width, height)``, where ``SampledObservable.evaluate`` raising
-:class:`GridMismatch` is the typed failure at any other points.
+(:class:`SampledObservable`).  The grid carries the frame, its table's
+bounding box unless given another.  :meth:`QuadratureGrid.evaluate` is the
+one rule at grid points: a sampled observable gives its stored values after
+the grid-compatibility check, and every other observable is evaluated as
+``h.evaluate(xs, ys, width, height)`` in the grid's frame, where
+``SampledObservable.evaluate`` raising :class:`GridMismatch` is the typed
+failure at any other points.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _eval_trig(coeffs: Sequence[tuple[int, int, complex]],
 
 @dataclass(frozen=True)
 class Observable:
-    """Finite Hermitian trigonometric sum over the bounding box.
+    """Finite Hermitian trigonometric sum over a frame ``(width, height)``.
 
     ``coeffs`` maps integer frequency pairs to complex amplitudes with
     ``c[-k] == conj(c[k])`` so values are real.
@@ -173,6 +175,8 @@ class QuadratureGrid:
 
     ``xs``/``ys`` are the interior cell midpoints; each carries weight
     ``1/(4*npts)`` on each of the four labels so the total mass is exactly 1.
+    ``width``/``height`` are the frame observables are evaluated in;
+    :func:`build_grid` sets them to the table's bounding box.
     """
 
     table: VHTable
@@ -205,8 +209,13 @@ class QuadratureGrid:
         return self.m % cert.p == 0 and self.m % cert.q == 0
 
     def evaluate(self, h) -> np.ndarray:
-        """Values of an observable at the grid points."""
-        return _grid_values(h, self, self.width, self.height)
+        """Values of an observable at the grid points, in the grid's frame."""
+        if isinstance(h, SampledObservable):
+            if not h.grid.compatible(self):
+                raise GridMismatch(
+                    "sampled observable belongs to a different grid")
+            return h.values
+        return h.evaluate(self.xs, self.ys, self.width, self.height)
 
     def tile_classes(self, cert: TilingCertificate) -> tuple[np.ndarray, int]:
         """Congruence class index per grid point under the (1/p, 1/q) lattice."""
@@ -248,16 +257,6 @@ class QuadratureGrid:
         if (len(self._flows) + 1) * 4 * self.npts <= BATCH_POINT_LIMIT:
             self._flows[t] = state
         return state
-
-
-def _grid_values(h, grid: QuadratureGrid, width: float,
-                 height: float) -> np.ndarray:
-    """The observable rule (see the module docstring) at the grid points."""
-    if isinstance(h, SampledObservable):
-        if not h.grid.compatible(grid):
-            raise GridMismatch("sampled observable belongs to a different grid")
-        return h.values
-    return h.evaluate(grid.xs, grid.ys, width, height)
 
 
 def build_grid(table: VHTable, m: int) -> QuadratureGrid:
@@ -451,7 +450,6 @@ def _direction_batch(grid: QuadratureGrid, thetas: Sequence[float]
 def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
                        t_grid: Sequence[float],
                        budget: int = MAX_EVENTS,
-                       box: tuple[float, float] | None = None,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Correlation values C_j(theta_i, t_k) for a stack of observables ``hs``
     and a batch of directions.
@@ -471,9 +469,8 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size and (np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0):
         raise ValueError("time grid must be strictly increasing and >= 0")
-    width, height = box if box is not None else (grid.width, grid.height)
     hs = list(hs)
-    h0s = [_grid_values(h, grid, width, height) for h in hs]
+    h0s = [grid.evaluate(h) for h in hs]
 
     npts = grid.npts
     block = 4 * npts
@@ -498,7 +495,7 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
             # one row per (direction, label): h0 broadcasts along the rows
             alive_rows = alive.reshape(4 * nb, npts)
             for j, (h, h0) in enumerate(zip(hs, h0s)):
-                vals = h.evaluate(x, y, width, height)
+                vals = h.evaluate(x, y, grid.width, grid.height)
                 vals = vals.reshape(4 * nb, npts) * h0 * alive_rows
                 sums = vals.reshape(nb, block).sum(axis=1)
                 c_out[j, start:start + nb, k] = sums / counts
@@ -512,28 +509,23 @@ def _check_grid_table(table: VHTable, grid: QuadratureGrid) -> None:
 
 
 def correlation(table: VHTable, theta: float, h, t_grid: Sequence[float],
-                grid: QuadratureGrid | None = None, m: int | None = None,
-                budget: int = MAX_EVENTS,
-                box: tuple[float, float] | None = None) -> CorrelationSeries:
+                grid: QuadratureGrid,
+                budget: int = MAX_EVENTS) -> CorrelationSeries:
     """Autocorrelation t -> <h o flow_t, h> on the normalized measure.
 
     Each value is that of a flow from 0 straight to its time, whatever the
     other times (:func:`sweep_correlations`).  Orbits that reach a reflex
     corner are dropped and the mass renormalized, aborting if the dropped
-    fraction passes MAX_DROPPED_FRACTION.  A given ``grid`` must belong to
-    ``table`` (:class:`GridMismatch` otherwise).
+    fraction passes MAX_DROPPED_FRACTION.  ``grid`` must belong to
+    ``table`` (:class:`GridMismatch` otherwise), and ``h`` is evaluated in
+    the grid's frame.
     """
-    if grid is None:
-        if m is None:
-            raise ValueError("pass a QuadratureGrid or a resolution m")
-        grid = build_grid(table, m)
     _check_grid_table(table, grid)
-    width, height = box if box is not None else (grid.width, grid.height)
-    h0 = _grid_values(h, grid, width, height)
+    h0 = grid.evaluate(h)
     level = float(np.sum(h0) / grid.npts) ** 2
     norm_sq = float(np.sum(h0 * h0) / grid.npts)
     values, dropped = sweep_correlations(grid, [theta], [h], t_grid,
-                                         budget=budget, box=box)
+                                         budget=budget)
     return CorrelationSeries(
         times=np.asarray(t_grid, dtype=np.float64),
         values=values[0, 0],
@@ -785,9 +777,9 @@ def series_summary(series: CorrelationSeries, table: VHTable, h,
     }
 
 
-def series_to_svg(series: CorrelationSeries, path,
-                  width: int = 900, height: int = 300) -> None:
+def series_to_svg(series: CorrelationSeries, path) -> None:
     """Gap-versus-time polyline with the running squared-gap average."""
+    width, height = 900, 300  # pixels
     t = series.times
     gap = series.gap
     ces = series.cesaro_squared()

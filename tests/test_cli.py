@@ -465,6 +465,7 @@ class TestTypedInputs:
 
     GDELTA = {"word": "ENWS", "area_band": [0.5, 30], "q_list": [2],
               "j_max": 1, "n_list": [2], "grid_m": 4}
+    SWEEP = {"count": 2, "seed": 1, "n_gap": 2, "tau": 3.0, "grid_m": 4}
 
     @pytest.mark.parametrize("command, change, name", [
         ("gdelta-demo", {"area_band": ["1/0", 3]}, "area_band[0]"),
@@ -475,21 +476,53 @@ class TestTypedInputs:
         ("gdelta-demo", {"j_max": "x"}, "j_max"),
         ("gdelta-demo", {"seed": "x"}, "seed"),
         ("gdelta-demo", {"n_list": ["a"]}, "n_list[0]"),
+        ("gdelta-demo", {"theta_count": "x"}, "theta_count"),
+        ("gdelta-demo", {"theta_count": 0}, "theta_count"),
+        ("gdelta-demo", {"q_list": [0]}, "q_list"),
+        ("gdelta-demo", {"n_list": 3}, "n_list"),
+        ("gdelta-demo", {"seed": -1}, "seed"),
+        ("gdelta-demo", {"out_dir": 3}, "out_dir"),
+        ("theta-sweep", {"seed": -1}, "seed"),
+        ("theta-sweep", {"out_dir": 3}, "out_dir"),
+        ("theta-sweep", {"table_path": 3}, "table_path"),
+        ("orbit", ["--x", "inf"], "--x"),
+        ("orbit", ["--x", "nan"], "--x"),
+        ("orbit", ["--y=-inf"], "--y"),
+        ("approximate", ["--Q", "0"], "--Q"),
+        ("approximate", ["--eta", "0"], "--eta"),
+        ("approximate", ["--eta", "inf"], "--eta"),
         ("correlate", ["--m", "0"], "--m"),
+        ("correlate", ["--theta", "nan"], "--theta"),
         ("continuity", ["--m", "-3"], "--m"),
         ("continuity", ["--t", "1,x"], "--t"),
+        ("continuity", ["--theta", "nan"], "--theta"),
     ], ids=["band-zero-denominator", "band-number", "band-word",
             "q-list-string", "word-number", "j-max-word", "seed-word",
-            "n-list-word", "correlate-m-zero", "continuity-m-negative",
-            "continuity-t-word"])
+            "n-list-word", "theta-count-word", "theta-count-zero",
+            "q-list-zero", "n-list-number", "seed-negative",
+            "out-dir-number", "sweep-seed-negative", "sweep-out-dir-number",
+            "sweep-table-path-number", "orbit-x-inf", "orbit-x-nan",
+            "orbit-y-minus-inf", "approximate-q-zero", "approximate-eta-zero",
+            "approximate-eta-inf", "correlate-m-zero", "correlate-theta-nan",
+            "continuity-m-negative", "continuity-t-word",
+            "continuity-theta-nan"])
     def test_mistyped_input_exits_1(self, square_file, tmp_path, capsys,
                                     command, change, name):
         out_dir = tmp_path / "out"
-        if command == "gdelta-demo":
-            cfg_path = tmp_path / "gd.json"
+        if command in ("gdelta-demo", "theta-sweep"):
+            base = self.GDELTA if command == "gdelta-demo" else \
+                self.SWEEP | {"table_path": square_file}
+            cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(
-                self.GDELTA | change | {"out_dir": str(out_dir)}))
+                base | {"out_dir": str(out_dir)} | change))
             argv = [command, str(cfg_path)]
+        elif command == "orbit":
+            argv = [command, square_file, "--theta", "1.0", "--x", "1.5",
+                    "--y", "1.5", "--time", "1", "--csv",
+                    str(out_dir / "o.csv"), *change]
+        elif command == "approximate":
+            argv = [command, square_file, "--Q", "3", "--eta", "0.1",
+                    "-o", str(out_dir / "a.json"), *change]
         elif command == "correlate":
             argv = [command, square_file, "--theta", "1.0", "--h", "1,0",
                     "--tmax", "1", "--step", "0.5", "--m", "4",
@@ -502,6 +535,19 @@ class TestTypedInputs:
         assert err["error"] == "ConfigError"
         assert name in err["message"]
         assert not out_dir.exists()
+
+
+def test_programming_error_escapes(square_file, monkeypatch):
+    # only BilliardErrors and I/O errors are input errors; a bug keeps its
+    # traceback instead of exiting 1
+    import vhbilliards.cli as cli
+
+    def buggy(*args, **kwargs):
+        raise TypeError("planted bug")
+
+    monkeypatch.setattr(cli, "tiling_parameters", buggy)
+    with pytest.raises(TypeError, match="planted bug"):
+        main(["validate", square_file])
 
 
 def test_version(capsys):

@@ -29,7 +29,7 @@ from vhbilliards.lab import (
     sweep_to_csv,
     theta_sweep,
 )
-from vhbilliards.spectral import Observable
+from vhbilliards.spectral import Observable, build_grid, correlation
 
 
 @pytest.fixture
@@ -176,6 +176,25 @@ class TestContinuityProbe:
         # limit trend, not monotonicity: the smallest step must not exceed
         # the largest one beyond tolerance
         assert deltas[Fraction(1, 100)] <= deltas[Fraction(1, 25)] + 0.02
+
+    @pytest.mark.parametrize("index, d", [(0, Fraction(1, 25)),
+                                          (1, Fraction(1, 50))])
+    def test_observable_keeps_table_a_frame(self, index, d):
+        # the perturbation moves the bounding box, so the observable's
+        # frequencies are fixed by table_a's frame on both tables
+        table_a = lshape()
+        table_b = perturb_length(table_a, index, d)
+        assert table_b.bbox != table_a.bbox
+        h, times, m = Observable.cosine(1, 1), [1.0, 2.5, 5.0], 12
+        rep = continuity_probe(table_a, table_b, 1.0, h, times, m)
+        grid_a = build_grid(table_a, m)
+        own_b = build_grid(table_b, m)
+        framed_b = replace(own_b, width=grid_a.width, height=grid_a.height)
+        values_a = correlation(table_a, 1.0, h, times, grid_a).values
+        for grid_b, same in ((framed_b, True), (own_b, False)):
+            delta = np.abs(values_a - correlation(table_b, 1.0, h, times,
+                                                  grid_b).values)
+            assert (delta.tobytes() == rep.delta_c.tobytes()) is same
 
     def test_combinatorics_mismatch(self):
         h = Observable.cosine(1, 0)
