@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation error (bad tables, words, configs,
-options, and unreadable or malformed files), 2 numerical abort (singular
-orbits, event budgets, dropped quadrature mass).  Errors are emitted as one
-JSON object on stderr so callers can parse them; any other exception is a
-bug and escapes with its traceback.
+options, usage errors such as a missing or malformed flag, and unreadable or
+malformed files), 2 numerical abort (singular orbits, event budgets, dropped
+quadrature mass).  Errors are emitted as one JSON object on stderr so callers
+can parse them; any other exception is a bug and escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -290,8 +290,15 @@ def _cmd_gdelta_demo(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are validation errors (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="vhbilliards",
         description="billiards in axis-parallel polygons: validation, "
                     "tilings, orbits, correlations, experiment sweeps")
@@ -366,16 +373,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _NUMERICAL_ERRORS as err:
         return _fail(err, 2)
-    except BilliardError as err:
-        return _fail(err, 1)
     # anything else is a bug and keeps its traceback
-    except (OSError, json.JSONDecodeError) as err:
+    except (BilliardError, OSError, json.JSONDecodeError) as err:
         return _fail(err, 1)
 
 

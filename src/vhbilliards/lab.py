@@ -205,10 +205,10 @@ def theta_sweep(config: ExperimentConfig,
                 table: VHTable | None = None) -> list[ThetaSetEstimate]:
     """Run the direction sweep; one estimate per configured basis index.
 
-    All basis indices share one flow per chunk of directions (see
-    :func:`sweep_correlations`).  Deterministic given the seed: the theta
-    sample, the time grid and every reduction order are fixed, independently
-    of ``workers``.
+    All basis indices share one flow per chunk of directions, and the levels
+    come from its grid values (see :func:`sweep_correlations`).
+    Deterministic given the seed: the theta sample, the time grid and every
+    reduction order are fixed, independently of ``workers``.
     """
     if table is None:
         table = load_table(config.table_path)
@@ -218,19 +218,20 @@ def theta_sweep(config: ExperimentConfig,
     hs = [basis_function(j) for j in config.h_indices]
 
     if config.workers == 1 or config.count == 1:
-        values, dropped = sweep_correlations(grid, thetas, hs, t_grid)
+        parts = [sweep_correlations(grid, thetas, hs, t_grid)]
     else:
         # each worker gets the built grid and one block of directions
         blocks = np.array_split(thetas, min(config.workers, config.count))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(sweep_correlations, repeat(grid), blocks,
                                   repeat(hs), repeat(t_grid)))
-        values = np.concatenate([p[0] for p in parts], axis=1)
-        dropped = np.concatenate([p[1] for p in parts])
+    values = np.concatenate([p[0] for p in parts], axis=1)
+    dropped = np.concatenate([p[1] for p in parts])
+    h0s = parts[0][2]
 
     out = []
-    for j, h, c in zip(config.h_indices, hs, values):
-        level = float(np.sum(grid.evaluate(h)) / grid.npts) ** 2
+    for j, h0, c in zip(config.h_indices, h0s, values):
+        level = float(np.sum(h0) / grid.npts) ** 2
         gaps = np.abs(c - level)
         min_idx = np.argmin(gaps, axis=1)
         min_gap = gaps[np.arange(config.count), min_idx]

@@ -10,13 +10,14 @@ idempotent and self-adjoint at the discrete level.
 There are three kinds of observable: trigonometric sums over a frame
 ``(width, height)`` (:class:`Observable`), their analytic tile average
 (:class:`TileAverageObservable`) and values at the points of one grid
-(:class:`SampledObservable`).  The grid carries the frame, its table's
-bounding box unless given another.  :meth:`QuadratureGrid.evaluate` is the
-one rule at grid points: a sampled observable gives its stored values after
-the grid-compatibility check, and every other observable is evaluated as
-``h.evaluate(xs, ys, width, height)`` in the grid's frame, where
+(:class:`SampledObservable`).  One rule evaluates them all:
+``h.evaluate(xs, ys, width, height)`` in the frame it is given, where
 ``SampledObservable.evaluate`` raising :class:`GridMismatch` is the typed
-failure at any other points.
+failure away from its grid.  The grid carries the frame, its table's
+bounding box unless given another, and :meth:`QuadratureGrid.evaluate`
+applies the rule at grid points; a sampled observable of the grid gives its
+stored values.  A correlation evaluates each observable once at the grid
+points and once per time at the flowed points.
 """
 
 from __future__ import annotations
@@ -375,34 +376,27 @@ class TileAverageObservable:
 
     Translation averaging of a trigonometric sum factorizes: each frequency
     picks up the mean phase over the tile anchors (a structure factor), and
-    the result is a trigonometric sum in the within-tile offset.  On grid
-    points this agrees with :func:`tile_average` to rounding error.
+    the result is a trigonometric sum in the within-tile offset.  The
+    factors are built in the frame each call gives, so on any grid's points
+    this agrees with :func:`tile_average` to rounding error.
     """
 
     def __init__(self, h: Observable, table: VHTable, cert: TilingCertificate):
-        ax, ay = _anchor_coords(table, cert)
-        (x0, y0), (x1, y1) = table.bbox
-        self._x0 = float(x0)
-        self._y0 = float(y0)
-        self._width = float(x1 - x0)
-        self._height = float(y1 - y0)
-        self._tile_w = 1.0 / cert.p
-        self._tile_h = 1.0 / cert.q
+        self._h = h
+        self._anchors = _anchor_coords(table, cert)
+        self._x0, self._y0 = map(float, table.bbox[0])
+        self._tile_w, self._tile_h = 1.0 / cert.p, 1.0 / cert.q
+
+    def evaluate(self, xs, ys, width: float, height: float) -> np.ndarray:
+        ax, ay = self._anchors
         coeffs = []
-        for kx, ky, c in h.coeffs:
-            phases = 2.0 * math.pi * (kx * ax / self._width
-                                      + ky * ay / self._height)
+        for kx, ky, c in self._h.coeffs:
+            phases = 2.0 * math.pi * (kx * ax / width + ky * ay / height)
             factor = complex(np.mean(np.cos(phases)), np.mean(np.sin(phases)))
             coeffs.append((kx, ky, c * factor))
-        self._coeffs = tuple(coeffs)
-
-    def evaluate(self, xs, ys, width: float | None = None,
-                 height: float | None = None) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        ux = (xs - self._x0) % self._tile_w
-        uy = (ys - self._y0) % self._tile_h
-        return _eval_trig(self._coeffs, ux, uy, self._width, self._height)
+        ux = (np.asarray(xs, dtype=np.float64) - self._x0) % self._tile_w
+        uy = (np.asarray(ys, dtype=np.float64) - self._y0) % self._tile_h
+        return _eval_trig(coeffs, ux, uy, width, height)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +444,15 @@ def _direction_batch(grid: QuadratureGrid, thetas: Sequence[float]
 def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
                        t_grid: Sequence[float],
                        budget: int = MAX_EVENTS,
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Correlation values C_j(theta_i, t_k) for a stack of observables ``hs``
     and a batch of directions.
 
-    Returns ``(values, dropped)``: ``values`` has shape
-    ``(len(hs), len(thetas), len(t_grid))`` and ``dropped`` holds the final
-    dropped mass of each direction.  The flow does not depend on the
-    observable, so one flow serves them all: each chunk of directions is
+    Returns ``(values, dropped, h0s)``: ``values`` has shape
+    ``(len(hs), len(thetas), len(t_grid))``, ``dropped`` holds the final
+    dropped mass of each direction and ``h0s`` each observable's values at
+    the grid points, its one evaluation there.  The flow does not depend on
+    the observable, so one flow serves them all: each chunk of directions is
     advanced once through the increasing time grid and every observable is
     read off the positions ``FlowBatch.advance_to`` returns at each time,
     which equal one jump from 0.  The per-direction reduction order is
@@ -492,15 +487,17 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
                 raise TooManySingular(
                     f"dropped quadrature mass {frac.max():.2e} exceeds "
                     f"{MAX_DROPPED_FRACTION:.0e}")
-            # one row per (direction, label): h0 broadcasts along the rows
-            alive_rows = alive.reshape(4 * nb, npts)
             for j, (h, h0) in enumerate(zip(hs, h0s)):
+                # in place, as (h o flow) * h0 * alive; one row per
+                # (direction, label), so h0 broadcasts along the rows
                 vals = h.evaluate(x, y, grid.width, grid.height)
-                vals = vals.reshape(4 * nb, npts) * h0 * alive_rows
+                rows = vals.reshape(4 * nb, npts)
+                rows *= h0
+                vals *= alive
                 sums = vals.reshape(nb, block).sum(axis=1)
                 c_out[j, start:start + nb, k] = sums / counts
         dropped[start:start + nb] = frac
-    return c_out, dropped
+    return c_out, dropped, h0s
 
 
 def _check_grid_table(table: VHTable, grid: QuadratureGrid) -> None:
@@ -518,19 +515,16 @@ def correlation(table: VHTable, theta: float, h, t_grid: Sequence[float],
     corner are dropped and the mass renormalized, aborting if the dropped
     fraction passes MAX_DROPPED_FRACTION.  ``grid`` must belong to
     ``table`` (:class:`GridMismatch` otherwise), and ``h`` is evaluated in
-    the grid's frame.
+    the grid's frame; ``level`` and ``norm_sq`` come from the sweep's ``h0s``.
     """
     _check_grid_table(table, grid)
-    h0 = grid.evaluate(h)
-    level = float(np.sum(h0) / grid.npts) ** 2
-    norm_sq = float(np.sum(h0 * h0) / grid.npts)
-    values, dropped = sweep_correlations(grid, [theta], [h], t_grid,
-                                         budget=budget)
+    values, dropped, (h0,) = sweep_correlations(grid, [theta], [h], t_grid,
+                                                budget=budget)
     return CorrelationSeries(
         times=np.asarray(t_grid, dtype=np.float64),
         values=values[0, 0],
-        level=level,
-        norm_sq=norm_sq,
+        level=float(np.sum(h0) / grid.npts) ** 2,
+        norm_sq=float(np.sum(h0 * h0) / grid.npts),
         dropped_fraction=float(dropped[0]),
         meta={"theta": float(theta), "m": grid.m,
               "table_hash": table_hash(grid.table)},
@@ -628,7 +622,7 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
             f"dropped fraction {dropped_fraction:.2e} too large")
 
     f_h = h.evaluate(x, y, grid.width, grid.height)
-    f_hd = hd_fn.evaluate(x, y)
+    f_hd = hd_fn.evaluate(x, y, grid.width, grid.height)
     f_hc = f_h - f_hd
 
     # one row per label: the unflowed values broadcast along the rows

@@ -537,6 +537,42 @@ class TestTypedInputs:
         assert not out_dir.exists()
 
 
+class TestUsageErrors:
+    """argparse's own usage errors are validation errors: exit 1 with one
+    JSON ConfigError naming the argument, never argparse's exit 2."""
+
+    @pytest.mark.parametrize("args, name", [
+        (["orbit", "{table}", "--theta", "1", "--x", "1.5", "--y", "-inf",
+          "--time", "1"], "--y"),
+        (["orbit", "{table}", "--theta", "1", "--x", "0.5", "--y", "0.5"],
+         "--time"),
+        (["orbit", "{table}", "--theta", "1", "--x", "0.5", "--y", "0.5",
+          "--time", "1", "--sx", "3"], "--sx"),
+        (["correlate", "{table}", "--theta", "1", "--h", "1,0", "--tmax",
+          "1", "--step", "0.5", "--m", "x"], "--m"),
+        (["validate"], "table"),
+        (["bogus"], "command"),
+        ([], "command"),
+    ], ids=["orbit-y-minus-inf", "orbit-missing-time", "orbit-sx-choice",
+            "correlate-m-word", "validate-missing-table", "unknown-command",
+            "no-command"])
+    def test_usage_error_exits_1(self, square_file, capsys, args, name):
+        argv = [a.format(table=square_file) for a in args]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert name in err["message"]
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["orbit", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert "usage" in capsys.readouterr().out
+
+
 def test_programming_error_escapes(square_file, monkeypatch):
     # only BilliardErrors and I/O errors are input errors; a bug keeps its
     # traceback instead of exiting 1

@@ -115,6 +115,24 @@ class TestThetaSweep:
         ests = theta_sweep(cfg)
         assert [e.h_index for e in ests] == [1, 6]
 
+    def test_observables_evaluated_once_at_grid_points(self, square_file,
+                                                       monkeypatch):
+        # the levels come from the sweep's grid values
+        cfg = ExperimentConfig(table_path=square_file, count=4, seed=2,
+                               n_gap=4, tau=10.0, h_indices=(1, 6), grid_m=4)
+        sizes = []
+        evaluate = Observable.evaluate
+
+        def counted(h, xs, ys, width, height):
+            sizes.append(np.size(xs))
+            return evaluate(h, xs, ys, width, height)
+
+        monkeypatch.setattr(Observable, "evaluate", counted)
+        theta_sweep(cfg)
+        npts = build_grid(unit_square(), 4).npts
+        assert sizes.count(npts) == 2
+        assert len(sizes) == 2 + 2 * cfg.time_grid().size
+
     def test_stacked_indices_match_single_sweeps(self, tmp_path):
         # all h_indices share one flow; the outputs must not show it, for
         # any worker count

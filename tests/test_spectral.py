@@ -6,6 +6,7 @@ hand-computed tile averages.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from vhbilliards.geometry import (
     tiling_parameters,
     unit_square,
 )
-from vhbilliards.lab import random_table
+from vhbilliards.lab import perturb_length, random_table
 from vhbilliards.spectral import (
     Observable,
     SampledObservable,
@@ -239,11 +240,22 @@ class TestTileAverage:
             tile_average(Observable.cosine(1, 0), lshape5.certificate, grid)
 
     def test_analytic_form_matches_grid_form(self, lshape5):
-        grid = build_grid(lshape5, 20)
-        h = Observable.cosine(1, 1)
-        hd = tile_average(h, lshape5.certificate, grid)
-        fn = TileAverageObservable(h, lshape5, lshape5.certificate)
-        assert np.abs(fn.evaluate(grid.xs, grid.ys) - hd.values).max() < 1e-12
+        # the table's own frame, and a perturbed table on a grid in the
+        # snapped L-shape's frame, as a continuity probe builds its grids
+        table = approximate_pq(perturb_length(lshape(), 0, Fraction(1, 5)),
+                               5, Fraction(1, 10))
+        frame = build_grid(lshape5, 40)
+        foreign = replace(build_grid(table, 40), width=frame.width,
+                          height=frame.height)
+        cases = [(build_grid(lshape5, 20), Observable.cosine(1, 1))]
+        cases += [(foreign, basis_function(j)) for j in (4, 5)]
+        for grid, h in cases:
+            cert = grid.table.certificate
+            hd = tile_average(h, cert, grid)
+            fn = TileAverageObservable(h, grid.table, cert)
+            assert np.abs(fn.evaluate(grid.xs, grid.ys, grid.width,
+                                      grid.height) - hd.values).max() < 1e-12
+            assert np.abs(grid.evaluate(fn) - hd.values).max() < 1e-12
 
 
 class TestContinuousPart:
@@ -326,16 +338,34 @@ class TestCorrelation:
         t_grid = 0.25 * np.arange(1, 41)
         hs = [basis_function(j) for j in (1, 2, 5, 6)]
         singles = [sweep_correlations(grid, thetas, [h], t_grid) for h in hs]
-        single_values = np.concatenate([v for v, _ in singles])
+        single_values = np.concatenate([v for v, _, _ in singles])
         for chunked in (False, True):
             if chunked:
                 monkeypatch.setattr(spectral, "BATCH_POINT_LIMIT",
                                     4 * grid.npts)  # one theta per chunk
-            values, dropped = sweep_correlations(grid, thetas, hs, t_grid)
+            values, dropped, h0s = sweep_correlations(grid, thetas, hs,
+                                                      t_grid)
             assert values.shape == (len(hs), len(thetas), t_grid.size)
             assert np.array_equal(values, single_values)
-            for _, single_dropped in singles:
+            for h, h0 in zip(hs, h0s, strict=True):
+                assert np.array_equal(h0, grid.evaluate(h))
+            for _, single_dropped, _ in singles:
                 assert np.array_equal(dropped, single_dropped)
+
+    def test_observable_evaluated_once_at_grid_points(self, square_grid,
+                                                      monkeypatch):
+        # the level and norm come from the sweep's grid values
+        sizes = []
+        evaluate = Observable.evaluate
+
+        def counted(h, xs, ys, width, height):
+            sizes.append(np.size(xs))
+            return evaluate(h, xs, ys, width, height)
+
+        monkeypatch.setattr(Observable, "evaluate", counted)
+        correlation(unit_square(), 1.0, Observable.cosine(1, 0),
+                    [0.5, 1.0, 1.5], square_grid)
+        assert sizes == [square_grid.npts] + 3 * [4 * square_grid.npts]
 
     def test_sweep_rows_independent_of_batching(self, square_grid):
         import vhbilliards.spectral as spectral
@@ -343,11 +373,11 @@ class TestCorrelation:
         thetas = [0.6, 0.9, 1.2]
         t_grid = 0.5 * np.arange(1, 21)
         h = Observable.cosine(1, 0)
-        full, _ = sweep_correlations(square_grid, thetas, [h], t_grid)
+        full, _, _ = sweep_correlations(square_grid, thetas, [h], t_grid)
         old = spectral.BATCH_POINT_LIMIT
         try:
             spectral.BATCH_POINT_LIMIT = 4 * square_grid.npts  # one theta/chunk
-            split, _ = sweep_correlations(square_grid, thetas, [h], t_grid)
+            split, _, _ = sweep_correlations(square_grid, thetas, [h], t_grid)
         finally:
             spectral.BATCH_POINT_LIMIT = old
         assert np.array_equal(full, split)
