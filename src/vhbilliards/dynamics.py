@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateDirection,
     EventBudgetExceeded,
     SingularOrbit,
@@ -306,7 +307,7 @@ def flow(table: VHTable | SideTable, state: PhasePoint, t: float,
          max_events: int = MAX_EVENTS) -> PhasePoint:
     """Advance a phase point by total time ``t`` through its reflections."""
     if not 0 <= t < math.inf:
-        raise ValueError(f"flow time must be finite and nonnegative, got {t}")
+        raise ConfigError(f"flow time must be finite and nonnegative, got {t}")
     return _advance(sides_of(table), state, t, max_events, record=None)
 
 
@@ -318,7 +319,7 @@ def orbit(table: VHTable, state: PhasePoint,
     flagged instead of raised, and ``max_time`` may be infinite.
     """
     if not max_time >= 0:
-        raise ValueError(f"orbit time must be nonnegative, got {max_time}")
+        raise ConfigError(f"orbit time must be nonnegative, got {max_time}")
     rec = OrbitSegmentList(table=table, initial=state)
     try:
         rec.final = _advance(sides_of(table), state, max_time, max_events,
@@ -334,7 +335,7 @@ def orbit(table: VHTable, state: PhasePoint,
 def _advance(sides: SideTable, state: PhasePoint, t: float,
              max_events: int, record: OrbitSegmentList | None) -> PhasePoint:
     if max_events < 0:
-        raise ValueError(f"event budget must be nonnegative, got {max_events}")
+        raise ConfigError(f"event budget must be nonnegative, got {max_events}")
     x, y = state.x, state.y
     d = state.direction
     elapsed = 0.0
@@ -432,7 +433,7 @@ class FlowBatch:
 
     Targets never go back: each :meth:`advance_to` target must be at least
     the batch's latest one, ``target`` (0 at the start), or the call raises
-    ``ValueError``.  A call applies every event up to its target, leaves
+    ``ConfigError``.  A call applies every event up to its target, leaves
     each point at its last event (``x``, ``y`` and ``t`` are that event's)
     and returns the positions at the target, written into one pair of
     float64 arrays allocated with the batch (16 bytes per point) and
@@ -446,7 +447,7 @@ class FlowBatch:
                  vx: np.ndarray, vy: np.ndarray,
                  max_events: int = MAX_EVENTS):
         if max_events < 0:
-            raise ValueError(
+            raise ConfigError(
                 f"event budget must be nonnegative, got {max_events}")
         self.sides = sides_of(table)
         self.x = np.array(x, dtype=np.float64)
@@ -493,10 +494,10 @@ class FlowBatch:
         ``(x, y)`` at it, ``x + vx * (t_target - t)`` with a zero step for
         frozen points, leaving each point at its last event."""
         if not math.isfinite(t_target):
-            raise ValueError(f"advance_to target {t_target} is not finite")
+            raise ConfigError(f"advance_to target {t_target} is not finite")
         if t_target < self.target:
-            raise ValueError(f"advance_to target {t_target} precedes the "
-                             f"batch's latest target {self.target}")
+            raise ConfigError(f"advance_to target {t_target} precedes the "
+                              f"batch's latest target {self.target}")
         self.target = t_target
         # the points due by t_target, found once; each round compacts the
         # points still due to the front of the same array, in order

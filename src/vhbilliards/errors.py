@@ -104,8 +104,9 @@ class TooManySingular(SpectralError):
 
 # --- lab -----------------------------------------------------------------------
 
-class ConfigError(BilliardError):
-    """Experiment configuration violates an invariant."""
+class ConfigError(BilliardError, ValueError):
+    """Invalid input of any kind: a configuration, option, argument or file
+    field that violates an invariant.  It is also a ``ValueError``."""
 
 
 class CombinatoricsMismatch(ConfigError):

@@ -657,10 +657,10 @@ def approximate_pq(table: VHTable, q_min: int, eta) -> VHTable:
     within ``eta`` (sup-norm over lengths and anchors) of the input.
     """
     if q_min < 1:
-        raise ValueError("q_min must be a positive integer")
+        raise ConfigError("q_min must be a positive integer")
     eta = _to_fraction(eta)
     if eta <= 0:
-        raise ValueError("eta must be positive")
+        raise ConfigError("eta must be positive")
 
     cert0 = tiling_parameters(table)
     if min(cert0.p, cert0.q) >= q_min:

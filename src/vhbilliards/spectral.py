@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import MAX_EVENTS, FlowBatch
-from .errors import GridMismatch, TooManySingular, UnalignedGrid
+from .dynamics import MAX_EVENTS, DirectionState, FlowBatch
+from .errors import ConfigError, GridMismatch, TooManySingular, UnalignedGrid
 from .geometry import (
     TilingCertificate,
     VHTable,
@@ -99,7 +99,7 @@ class Observable:
         for (kx, ky), c in table.items():
             mirror = table.get((-kx, -ky))
             if mirror is None or abs(mirror - c.conjugate()) > 1e-15 * (1 + abs(c)):
-                raise ValueError(
+                raise ConfigError(
                     f"coefficients are not Hermitian at frequency ({kx}, {ky})")
 
     @classmethod
@@ -158,7 +158,7 @@ def basis_function(j: int) -> Observable:
     cosine then a sine.
     """
     if j < 1:
-        raise ValueError("basis index is 1-based")
+        raise ConfigError("basis index is 1-based")
     if j == 1:
         return Observable.constant(1.0)
     rep_index, kind = divmod(j - 2, 2)
@@ -170,14 +170,15 @@ def basis_function(j: int) -> Observable:
 # quadrature grids
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureGrid:
     """Midpoint quadrature over the table, replicated on four direction labels.
 
     ``xs``/``ys`` are the interior cell midpoints; each carries weight
     ``1/(4*npts)`` on each of the four labels so the total mass is exactly 1.
     ``width``/``height`` are the frame observables are evaluated in;
-    :func:`build_grid` sets them to the table's bounding box.
+    :func:`build_grid` sets them to the table's bounding box.  The grid is
+    frozen, and a ``dataclasses.replace`` copy starts with nothing kept.
     """
 
     table: VHTable
@@ -188,12 +189,10 @@ class QuadratureGrid:
     iy: np.ndarray
     width: float
     height: float
-    _classes: dict = field(default_factory=dict, repr=False)
-    # flowed four-label batch of one direction: (theta, budget), the
-    # FlowBatch at its latest time and t -> (x, y, singular); see _flowed
-    _flow_direction: tuple = field(default=(), repr=False)
-    _flow_batch: FlowBatch | None = field(default=None, repr=False)
-    _flows: dict = field(default_factory=dict, repr=False)
+    # (p, q) -> tile classes, and "flow" -> one direction's (theta, batch,
+    # t -> (x, y, singular)); see tile_classes and _flowed
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def npts(self) -> int:
@@ -225,38 +224,37 @@ class QuadratureGrid:
                 f"grid m = {self.m} is not a multiple of p = {cert.p} "
                 f"and q = {cert.q}")
         key = (cert.p, cert.q)
-        if key not in self._classes:
+        if key not in self._kept:
             mx = self.m // cert.p
             my = self.m // cert.q
             cls = (self.ix % mx) * my + (self.iy % my)
-            self._classes[key] = (cls.astype(np.int64), mx * my)
-        return self._classes[key]
+            self._kept[key] = (cls.astype(np.int64), mx * my)
+        return self._kept[key]
 
-    def _flowed(self, theta: float, t: float, budget: int
+    def _flowed(self, theta: float, t: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(x, y, singular)`` of the grid's four-label batch for
         ``theta`` at time ``t``, bit-identical to one ``advance_to(t)`` from
         time 0 and kept as :func:`correlation_chain_check` describes."""
         theta, t = float(theta), float(t)
-        if self._flow_direction != (theta, budget):
-            self._flows.clear()
-            self._flow_batch = None
-            self._flow_direction = (theta, budget)
-        state = self._flows.get(t)
+        kept_theta, batch, states = self._kept.get("flow", (None, None, {}))
+        if kept_theta != theta:
+            batch, states = None, {}
+        state = states.get(t)
         if state is not None:
             return state
-        batch, self._flow_batch = self._flow_batch, None
+        # no batch is kept while it flows, so a flow that raises drops it
+        self._kept["flow"] = (theta, None, states)
         if batch is None or t < batch.target:
-            batch = FlowBatch(self.table, *_direction_batch(self, [theta]),
-                              max_events=budget)
+            batch = FlowBatch(self.table, *_direction_batch(self, [theta]))
         state = (*(a.copy() for a in batch.advance_to(t)),
                  batch.singular.copy())
         for a in state:
             a.setflags(write=False)
         if 4 * self.npts <= BATCH_POINT_LIMIT:
-            self._flow_batch = batch
-        if (len(self._flows) + 1) * 4 * self.npts <= BATCH_POINT_LIMIT:
-            self._flows[t] = state
+            self._kept["flow"] = (theta, batch, states)
+        if (len(states) + 1) * 4 * self.npts <= BATCH_POINT_LIMIT:
+            states[t] = state
         return state
 
 
@@ -269,7 +267,7 @@ def build_grid(table: VHTable, m: int) -> QuadratureGrid:
     1/m the cover is rounded up, and a midpoint on the boundary is dropped.
     """
     if m < 1:
-        raise ValueError("resolution m must be positive")
+        raise ConfigError("resolution m must be positive")
     (x0, y0), (x1, y1) = table.bbox
     ix, iy = np.nonzero(interior_cells(table, m, m))
     if ix.size == 0:
@@ -458,12 +456,19 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     which equal one jump from 0.  The per-direction reduction order is
     fixed, so a value at t depends only on theta, t and the grid, not on
     the other grid times, the chunking of directions across workers or the
-    other observables sharing the flow.
+    other observables sharing the flow.  Before any work, a theta outside
+    (0, pi/2) raises :class:`DegenerateDirection`, as it does for
+    :func:`dynamics.orbit`, and a time grid that is not finite, nonnegative
+    and strictly increasing raises :class:`ConfigError`.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.size and (np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0):
-        raise ValueError("time grid must be strictly increasing and >= 0")
+    for theta in thetas.tolist():
+        DirectionState(theta)
+    if not (np.all(np.isfinite(t_grid)) and np.all(t_grid >= 0)
+            and np.all(np.diff(t_grid) > 0)):
+        raise ConfigError("time grid must be finite, strictly increasing "
+                          "and >= 0")
     hs = list(hs)
     h0s = [grid.evaluate(h) for h in hs]
 
@@ -574,8 +579,7 @@ class ChainReport:
 
 def correlation_chain_check(table: VHTable, cert: TilingCertificate,
                             theta: float, h: Observable, t: float,
-                            grid: QuadratureGrid,
-                            budget: int = MAX_EVENTS) -> ChainReport:
+                            grid: QuadratureGrid) -> ChainReport:
     """Evaluate the split of the correlation gap into tile-average and
     residual contributions, plus the Cauchy-Schwarz bound on the first part.
 
@@ -583,15 +587,18 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     and their tile averages), while the unflowed factor uses grid samples.
 
     ``grid`` must belong to ``table`` (:class:`GridMismatch` otherwise).
+    Before any work, a ``theta`` outside (0, pi/2) raises
+    :class:`DegenerateDirection` and a ``t`` outside [0, inf) raises
+    :class:`ConfigError`.  Flows use the ``MAX_EVENTS`` budget.
     The flow does not depend on ``h``, so the grid keeps the flowed points
-    of one direction: calls that repeat ``theta``, ``t`` and ``budget`` on
-    one grid flow once and read the kept state, whatever their observable.
-    A new time at or after the direction's latest one resumes the grid's
-    ``FlowBatch`` from its last events with ``advance_to(t)``, so the
-    direction is flowed once across all its times and every report stays
-    byte-identical to a cold call on a fresh grid; an earlier time flows a
-    new batch from 0.  A new ``theta`` or ``budget`` drops the kept batch
-    and states, and a flow that raises drops the batch.  The batch costs
+    of one direction, keyed by ``theta`` alone: calls that repeat ``theta``
+    and ``t`` on one grid flow once and read the kept state, whatever their
+    observable.  A new time at or after the direction's latest one resumes
+    the grid's ``FlowBatch`` from its last events with ``advance_to(t)``,
+    so the direction is flowed once across all its times and every report
+    stays byte-identical to a cold call on a fresh grid; an earlier time
+    flows a new batch from 0.  A new ``theta`` drops the kept batch and
+    states, and a flow that raises drops the batch.  The batch costs
     81 bytes per point plus its kernel workspace (at most 1.5 MiB),
     and is kept only while the direction's points fit in
     ``BATCH_POINT_LIMIT``.
@@ -601,6 +608,10 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     times at ``BATCH_POINT_LIMIT``), and only saves work for consecutive
     calls that share the direction.
     """
+    DirectionState(theta)
+    if not 0 <= t < math.inf:
+        raise ConfigError(f"chain check time must be finite and "
+                          f"nonnegative, got {t}")
     _check_grid_table(table, grid)
     if not grid.aligned_for(cert):
         raise UnalignedGrid("chain check needs a tile-aligned grid")
@@ -613,7 +624,7 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     hd_fn = TileAverageObservable(h, table, cert)
 
     n = grid.npts
-    x, y, singular = grid._flowed(theta, t, budget)
+    x, y, singular = grid._flowed(theta, t)
     alive = ~singular
     count = int(alive.sum())
     dropped_fraction = 1.0 - count / (4 * n)
@@ -687,7 +698,7 @@ def oscillation_bound_check(h: Observable, cert: TilingCertificate,
     that instead of a violation.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ConfigError("eps must be positive")
     lip = h.lipschitz(grid.width, grid.height)
     h_norm = norm(h, grid)
     if h_norm == 0.0:
@@ -778,7 +789,7 @@ def series_to_svg(series: CorrelationSeries, path) -> None:
     gap = series.gap
     ces = series.cesaro_squared()
     if t.size == 0:
-        raise ValueError("empty correlation series")
+        raise ConfigError("empty correlation series")
     t0, t1 = float(t[0]), float(t[-1])
     span = (t1 - t0) or 1.0
     top = max(float(gap.max()), float(ces.max()), 1e-12)

@@ -264,6 +264,17 @@ class TestCorrelate:
         assert err["error"] == "ConfigError"
         assert not out_csv.exists()
 
+    def test_degenerate_theta_exits_1(self, square_file, tmp_path, capsys):
+        # the orbit command's direction rule: theta in (0, pi/2)
+        out_csv = tmp_path / "series.csv"
+        code = main(["correlate", square_file, "--theta=0", "--h", "1,0",
+                     "--tmax", "1", "--step", "0.5", "--m", "4",
+                     "-o", str(out_csv)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DegenerateDirection"
+        assert not out_csv.exists()
+
     def test_tmax_equal_to_step_gives_one_row(self, square_file, tmp_path,
                                               capsys):
         out_csv = tmp_path / "series.csv"

@@ -6,7 +6,7 @@ hand-computed tile averages.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +14,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vhbilliards.dynamics import MAX_EVENTS
+from vhbilliards.dynamics import DirectionState, PhasePoint, flow
 from vhbilliards.errors import (
+    BilliardError,
+    ConfigError,
+    DegenerateDirection,
     EventBudgetExceeded,
     GridMismatch,
     TooManySingular,
@@ -66,6 +69,22 @@ def lshape_grid():
 @pytest.fixture(scope="module")
 def lshape5():
     return approximate_pq(lshape(), 5, Fraction(1, 10))
+
+
+@pytest.fixture
+def counted_batches(monkeypatch):
+    """Every FlowBatch the spectral module builds, in order."""
+    import vhbilliards.spectral as spectral
+
+    built = []
+
+    class CountedBatch(spectral.FlowBatch):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "FlowBatch", CountedBatch)
+    return built
 
 
 class TestObservable:
@@ -238,6 +257,33 @@ class TestTileAverage:
         grid = build_grid(lshape5, 7)  # 7 not divisible by 5
         with pytest.raises(UnalignedGrid):
             tile_average(Observable.cosine(1, 0), lshape5.certificate, grid)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_projector_identities_on_random_tables(self, seed):
+        # idempotent, self-adjoint, integral-preserving and constant on
+        # each tile class on an aligned grid of a random table
+        table = random_table(np.random.default_rng(seed),
+                             hole_probability=0.6)
+        cert = tiling_parameters(table)
+        grid = build_grid(table, aligned_m(cert, 1))
+        cls, _ = grid.tile_classes(cert)
+        # averaging n equal values sums them one after another (bincount),
+        # which may round by up to n ulps of the value; with one point per
+        # tile in a class, n is the tile count
+        idem_tol = max(1e-12, cert.tile_count * np.finfo(float).eps)
+        hs = [basis_function(j) for j in (2, 5, 6)]
+        for h, g in zip(hs, hs[1:] + hs[:1]):
+            hd = tile_average(h, cert, grid)
+            hdd = tile_average(hd, cert, grid)
+            assert np.abs(hdd.values - hd.values).max() <= idem_tol
+            assert abs(inner(hd, g, grid)
+                       - inner(h, tile_average(g, cert, grid), grid)) <= 1e-12
+            assert abs(inner(hd, chi(grid), grid)
+                       - inner(h, chi(grid), grid)) <= 1e-12
+            per_class = np.zeros(cls.max() + 1)
+            per_class[cls] = hd.values
+            assert np.array_equal(hd.values, per_class[cls])
 
     def test_analytic_form_matches_grid_form(self, lshape5):
         # the table's own frame, and a perturbed table on a grid in the
@@ -460,37 +506,39 @@ class TestChainFlowCache:
     """The grid keeps one direction's flowed points across chain checks."""
 
     @staticmethod
-    def cold(table, cert, theta, h, t, budget=MAX_EVENTS):
+    def cold(table, cert, theta, h, t):
         # a fresh grid has nothing kept
         grid = build_grid(table, 20)
-        return correlation_chain_check(table, cert, theta, h, t, grid,
-                                       budget=budget)
+        return correlation_chain_check(table, cert, theta, h, t, grid)
+
+    @staticmethod
+    def kept(grid):
+        """The grid's one kept direction: ``(theta, batch, t -> state)``."""
+        return grid._kept["flow"]
 
     def test_warm_call_equals_cold_call(self, lshape5):
         cert = lshape5.certificate
         grid = build_grid(lshape5, 20)
         correlation_chain_check(lshape5, cert, 1.0, basis_function(2), 5.0,
                                 grid)
-        assert list(grid._flows) == [5.0]
+        assert list(self.kept(grid)[2]) == [5.0]
         for j in (2, 3, 4):
             warm = correlation_chain_check(lshape5, cert, 1.0,
                                            basis_function(j), 5.0, grid)
             cold = self.cold(lshape5, cert, 1.0, basis_function(j), 5.0)
             assert repr(warm) == repr(cold)
-        assert list(grid._flows) == [5.0]
+        assert list(self.kept(grid)[2]) == [5.0]
 
-    @pytest.mark.parametrize("change", [{"theta": 0.7}, {"t": 6.5},
-                                        {"budget": 10**6}])
+    @pytest.mark.parametrize("change", [{"theta": 0.7}, {"t": 6.5}])
     def test_other_keys_never_hit(self, lshape5, change):
         cert = lshape5.certificate
         h = basis_function(3)
         grid = build_grid(lshape5, 20)
         correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)
-        call = {"theta": 1.0, "t": 5.0, "budget": MAX_EVENTS} | change
+        call = {"theta": 1.0, "t": 5.0} | change
         warm = correlation_chain_check(lshape5, cert, call["theta"], h,
-                                       call["t"], grid, budget=call["budget"])
-        cold = self.cold(lshape5, cert, call["theta"], h, call["t"],
-                         budget=call["budget"])
+                                       call["t"], grid)
+        cold = self.cold(lshape5, cert, call["theta"], h, call["t"])
         assert repr(warm) == repr(cold)
 
     def test_other_table_is_a_mismatch(self, lshape5):
@@ -504,7 +552,7 @@ class TestChainFlowCache:
         with pytest.raises(GridMismatch):
             correlation_chain_check(square, tiling_parameters(square), 1.0,
                                     h, 5.0, grid)
-        assert list(grid._flows) == [5.0]
+        assert list(self.kept(grid)[2]) == [5.0]
         # an equal table built separately is the grid's table
         twin = approximate_pq(lshape(), 5, Fraction(1, 10))
         assert twin is not lshape5
@@ -513,18 +561,9 @@ class TestChainFlowCache:
         assert repr(warm) == repr(self.cold(lshape5, lshape5.certificate,
                                             1.0, h, 5.0))
 
-    def test_small_budget_still_raises(self, lshape5):
-        cert = lshape5.certificate
-        grid = build_grid(lshape5, 20)
-        h = basis_function(2)
-        correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)
-        with pytest.raises(EventBudgetExceeded):
-            correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid,
-                                    budget=2)
-
     def test_kept_arrays_are_read_only(self, lshape5):
         grid = build_grid(lshape5, 20)
-        for a in grid._flowed(1.0, 5.0, MAX_EVENTS):
+        for a in grid._flowed(1.0, 5.0):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[1]
@@ -539,14 +578,15 @@ class TestChainFlowCache:
         monkeypatch.setattr(spectral, "BATCH_POINT_LIMIT", 2 * block + 1)
         for t in (1.0, 2.0, 3.0):
             correlation_chain_check(lshape5, cert, 1.0, h, t, grid)
-            assert len(grid._flows) * block <= spectral.BATCH_POINT_LIMIT
-        assert list(grid._flows) == [1.0, 2.0]
+            assert len(self.kept(grid)[2]) * block \
+                <= spectral.BATCH_POINT_LIMIT
+        assert list(self.kept(grid)[2]) == [1.0, 2.0]
         # an unkept time is flowed again, with the same result
         warm = correlation_chain_check(lshape5, cert, 1.0, h, 3.0, grid)
         assert repr(warm) == repr(self.cold(lshape5, cert, 1.0, h, 3.0))
         correlation_chain_check(lshape5, cert, 0.7, h, 2.0, grid)
-        assert grid._flow_direction == (0.7, MAX_EVENTS)
-        assert list(grid._flows) == [2.0]
+        assert self.kept(grid)[0] == 0.7
+        assert list(self.kept(grid)[2]) == [2.0]
 
     def test_resumed_times_equal_cold_calls(self, lshape5):
         cert = lshape5.certificate
@@ -564,57 +604,100 @@ class TestChainFlowCache:
         theta = math.pi / 4
         grid = build_grid(lshape5, 20)
         for t in (1.0, 2.0, 5.0):
-            grid._flowed(theta, t, MAX_EVENTS)
-        frozen = [grid._flows[t][2].sum() for t in (1.0, 2.0, 5.0)]
+            grid._flowed(theta, t)
+        states = self.kept(grid)[2]
+        frozen = [states[t][2].sum() for t in (1.0, 2.0, 5.0)]
         assert frozen[0] < frozen[1] < frozen[2]
         for t in (1.0, 2.0, 5.0):
-            cold = build_grid(lshape5, 20)._flowed(theta, t, MAX_EVENTS)
-            for kept, want in zip(grid._flows[t], cold):
+            cold = build_grid(lshape5, 20)._flowed(theta, t)
+            for kept, want in zip(states[t], cold):
                 assert kept.tobytes() == want.tobytes()
 
-    def test_one_batch_per_direction(self, lshape5, monkeypatch):
-        import vhbilliards.spectral as spectral
-
-        built = []
-
-        class CountedBatch(spectral.FlowBatch):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("max_events"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "FlowBatch", CountedBatch)
+    def test_one_batch_per_direction(self, lshape5, counted_batches):
+        built = counted_batches
         cert = lshape5.certificate
         grid = build_grid(lshape5, 20)
         h = basis_function(3)
 
-        def check(theta, t, budget=MAX_EVENTS):
-            correlation_chain_check(lshape5, cert, theta, h, t, grid,
-                                    budget=budget)
+        def check(theta, t):
+            correlation_chain_check(lshape5, cert, theta, h, t, grid)
             return len(built)
 
         # later times resume the direction's batch
         assert [check(1.0, t) for t in (5.0, 10.0, 20.0)] == [1, 1, 1]
-        assert grid._flow_batch.target == 20.0
+        assert self.kept(grid)[1].target == 20.0
         # an earlier time starts again from 0; a kept time flows nothing
         assert [check(1.0, 2.5), check(1.0, 20.0), check(1.0, 4.0)] \
             == [2, 2, 2]
         assert [check(0.7, 5.0), check(0.7, 10.0)] == [3, 3]
-        assert [check(0.7, 10.0, 10**6), check(0.7, 20.0, 10**6)] == [4, 4]
-        assert built[-1] == 10**6
 
-    def test_batch_dropped_when_a_flow_raises(self, lshape5):
+    def test_batch_dropped_when_a_flow_raises(self, lshape5, monkeypatch):
+        import vhbilliards.spectral as spectral
+
+        built = []
+
+        class SecondAdvanceRaises(spectral.FlowBatch):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                self.advances = 0
+                super().__init__(*args, **kwargs)
+
+            def advance_to(self, t_target):
+                self.advances += 1
+                if self.advances == 2:
+                    raise EventBudgetExceeded("planted on the second advance")
+                return super().advance_to(t_target)
+
+        monkeypatch.setattr(spectral, "FlowBatch", SecondAdvanceRaises)
         cert = lshape5.certificate
         grid = build_grid(lshape5, 20)
         h = basis_function(2)
-        correlation_chain_check(lshape5, cert, 1.0, h, 0.5, grid, budget=3)
+        correlation_chain_check(lshape5, cert, 1.0, h, 0.5, grid)
         with pytest.raises(EventBudgetExceeded):
-            correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid,
-                                    budget=3)
-        assert grid._flow_batch is None
-        # the failed batch is not resumed: the same call fails the same way
-        with pytest.raises(EventBudgetExceeded):
-            correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid,
-                                    budget=3)
+            correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)
+        assert self.kept(grid)[1] is None
+        # the failed batch is not resumed: the same call flows a new batch
+        # from 0 and reports what a cold call does
+        warm = correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)
+        assert len(built) == 2
+        assert repr(warm) == repr(self.cold(lshape5, cert, 1.0, h, 5.0))
+
+    def test_replace_copy_keeps_its_own_state(self, lshape5):
+        # a frame change by dataclasses.replace must not share the kept
+        # flow: the copy's direction must not answer the original's calls
+        cert = lshape5.certificate
+        h = basis_function(3)
+        grid = build_grid(lshape5, 20)
+        correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)
+        twin = replace(grid)
+        assert repr(correlation_chain_check(lshape5, cert, 0.7, h, 5.0, twin)) \
+            == repr(self.cold(lshape5, cert, 0.7, h, 5.0))
+        assert repr(correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)) \
+            == repr(self.cold(lshape5, cert, 1.0, h, 5.0))
+
+    def test_replace_copy_starts_with_nothing_kept(self, lshape5,
+                                                   counted_batches):
+        built = counted_batches
+        cert = lshape5.certificate
+        h = basis_function(2)
+        grid = build_grid(lshape5, 20)
+        correlation_chain_check(lshape5, cert, 1.0, h, 5.0, grid)
+        twin = replace(grid)
+        assert twin._kept == {}
+        # the copy flows its own batch for the call the original has kept
+        correlation_chain_check(lshape5, cert, 1.0, h, 5.0, twin)
+        assert len(built) == 2
+        assert self.kept(twin)[1] is built[1]
+        assert self.kept(grid)[1] is built[0]
+
+    def test_grid_is_frozen(self, lshape5):
+        grid = build_grid(lshape5, 20)
+        assert [f.name for f in fields(grid) if f.init] == [
+            "table", "m", "xs", "ys", "ix", "iy", "width", "height"]
+        with pytest.raises(FrozenInstanceError):
+            grid.table = lshape()
+        with pytest.raises(FrozenInstanceError):
+            grid.width = 2.0
 
     def test_anchors_once_per_table_and_certificate(self, monkeypatch):
         import vhbilliards.spectral as spectral
@@ -641,6 +724,47 @@ class TestChainFlowCache:
         twin = approximate_pq(lshape(), 5, Fraction(1, 10))
         TileAverageObservable(basis_function(2), twin, cert)
         assert len(calls) == 3
+
+
+class TestInputErrors:
+    """Invalid inputs raise typed errors before any flow."""
+
+    def test_invalid_inputs_raise_billiard_errors(self, lshape5,
+                                                  counted_batches):
+        grid = build_grid(lshape5, 20)
+        cert = lshape5.certificate
+        h = basis_function(2)
+        start = PhasePoint(0.5, 0.5, DirectionState(1.0))
+        calls = [
+            lambda: build_grid(lshape5, 0),
+            lambda: flow(lshape5, start, -1.0),
+            lambda: sweep_correlations(grid, [1.0], [h], [0.5, math.inf]),
+            lambda: correlation_chain_check(lshape5, cert, 1.0, h, -1.0,
+                                            grid),
+            lambda: correlation_chain_check(lshape5, cert, 1.0, h, math.nan,
+                                            grid),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert isinstance(err.value, BilliardError)
+            assert isinstance(err.value, ValueError)
+        assert counted_batches == []
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.3, 2.0,
+                                       math.nan])
+    def test_degenerate_direction_rejected_before_flowing(
+            self, square_grid, counted_batches, theta):
+        h = Observable.cosine(1, 0)
+        with pytest.raises(DegenerateDirection):
+            sweep_correlations(square_grid, [0.9, theta], [h], [0.5])
+        with pytest.raises(DegenerateDirection):
+            correlation(unit_square(), theta, h, [0.5], grid=square_grid)
+        with pytest.raises(DegenerateDirection):
+            correlation_chain_check(
+                unit_square(), tiling_parameters(unit_square()), theta, h,
+                0.5, square_grid)
+        assert counted_batches == []
 
 
 def dense_max_oscillation(h, cert, grid, delta):
