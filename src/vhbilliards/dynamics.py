@@ -31,9 +31,13 @@ Events are found on two paths that share this rule, the corner policy and
   kernel works on L2-sized blocks of points; :class:`FlowBatch` states the
   block rule and what the faced-sides rule means for frozen points.
 
-On the holed table of the README (2-vCPU Xeon, Python 3.11, numpy 2.4) the
-scalar loop takes about 4 us per event and ``FlowBatch`` fed one point about
-80 us, so single orbits keep their own path.
+The scalar loop calls :func:`next_event` once per event and reads only
+Python values there: the side view's ``*_of`` tuples and the four labels of
+the start's direction class, built once per call, each of which caches its
+``velocity``.  On the holed table of the README (2-vCPU Xeon, Python 3.11,
+numpy 2.4) it takes about 3 us per event (3.5 us when :func:`orbit` records
+each one) and ``FlowBatch`` fed one point about 190 us, so single orbits
+keep their own path.
 
 Both paths read the table through its :class:`SideTable`, a float
 projection of the table's exact boundary model (``VHTable.boundary``, every
@@ -44,7 +48,7 @@ on the table.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -105,7 +109,7 @@ class DirectionState:
         if self.sx not in (-1, 1) or self.sy not in (-1, 1):
             raise DegenerateDirection("signs must be +1 or -1")
 
-    @property
+    @functools.cached_property
     def velocity(self) -> tuple[float, float]:
         return (self.sx * math.cos(self.theta), self.sy * math.sin(self.theta))
 
@@ -153,7 +157,9 @@ class SideTable:
     ``(axis, inward normal sign)`` to those sides, in side order, as
     Python-float rows ``(coord, lo - EPS_CORNER, hi + EPS_CORNER, side)``:
     the layout every side scan reads (the faced-sides rule of the module
-    docstring).
+    docstring).  The ``*_of`` tuples repeat the arrays as Python values for
+    the scalar loop, which reads one entry per event: ``ends_of[s]`` is
+    ``((lo, lo_vertex), (hi, hi_vertex))``, ``point_of[v]`` is ``(x, y)``.
     """
 
     axis: np.ndarray          # (S,) 0 = vertical, 1 = horizontal
@@ -166,6 +172,10 @@ class SideTable:
     vertex_y: np.ndarray
     vertex_convex: np.ndarray  # (V,) bool
     groups: dict[tuple[int, int], list[tuple[float, float, float, int]]]
+    axis_of: tuple[int, ...]
+    ends_of: tuple[tuple[tuple[float, int], tuple[float, int]], ...]
+    point_of: tuple[tuple[float, float], ...]
+    convex_of: tuple[bool, ...]
 
 
 def prepare_sides(table: VHTable) -> SideTable:
@@ -190,6 +200,10 @@ def prepare_sides(table: VHTable) -> SideTable:
         vertex_y=np.array(vy, dtype=np.float64),
         vertex_convex=np.array(b.convex, dtype=bool),
         groups=groups,
+        axis_of=tuple(axis),
+        ends_of=tuple(zip(zip(lo.tolist(), lo_v), zip(hi.tolist(), hi_v))),
+        point_of=tuple((float(x), float(y)) for x, y in b.vertices),
+        convex_of=b.convex,
     )
 
 
@@ -260,12 +274,9 @@ def next_event(table: VHTable | SideTable, state: PhasePoint
         raise SingularOrbit("ray found no boundary ahead; state is outside "
                             "the table or numerically lost")
     a, (c, _, _, s), cross = best
-    for vert, end in ((sides.lo_vertex[s], sides.lo[s]),
-                      (sides.hi_vertex[s], sides.hi[s])):
+    for end, vert in sides.ends_of[s]:
         if abs(cross - end) <= EPS_CORNER:
-            vert = int(vert)
-            return ((float(sides.vertex_x[vert]), float(sides.vertex_y[vert])),
-                    s, best_t, vert)
+            return sides.point_of[vert], s, best_t, vert
     # c is the row's float, shared by every hit on this side
     hit = (c, cross) if a == 0 else (cross, c)
     return hit, s, best_t, None
@@ -338,14 +349,19 @@ def _advance(sides: SideTable, state: PhasePoint, t: float,
         raise ConfigError(f"event budget must be nonnegative, got {max_events}")
     x, y = state.x, state.y
     d = state.direction
+    # the four labels, indexed 2*(sx < 0) + (sy < 0): a flip of sy is xor 1,
+    # of sx xor 2, at a corner xor 3
+    labels = d.direction_class()
+    label = 2 * (d.sx < 0) + (d.sy < 0)
     elapsed = 0.0
     events = 0
     while True:
         remaining = t - elapsed
         if remaining <= 0:
             break
+        # one module-level call per event: the traced bench wraps it
         hit, s, dt, vertex = next_event(sides, PhasePoint(x, y, d))
-        if (vertex is not None and not sides.vertex_convex[vertex]
+        if (vertex is not None and not sides.convex_of[vertex]
                 and dt <= remaining):
             raise SingularOrbit(f"orbit reaches reflex vertex {vertex}")
         if dt > remaining:
@@ -355,12 +371,11 @@ def _advance(sides: SideTable, state: PhasePoint, t: float,
             break
         x, y = hit
         if vertex is not None:
-            d = d.flip_both()
+            label ^= 3
             s = -1
-        elif sides.axis[s]:
-            d = d.flip_y()
         else:
-            d = d.flip_x()
+            label ^= 1 if sides.axis_of[s] else 2
+        d = labels[label]
         elapsed += dt
         events += 1
         if record is not None:
@@ -691,24 +706,22 @@ def orbit_to_csv(history: OrbitSegmentList, path) -> None:
     """Write t, x, y, sx, sy, side_id rows (initial and final rows use -1).
 
     Numbers are written as the shortest round-tripping float repr, whatever
-    float type the orbit carries.
+    float type the orbit carries, and lines end in CRLF, as ``csv.writer``
+    writes them.
     """
-    def num(v) -> str:
-        return repr(float(v))
-
+    row = "%r,%r,%r,%d,%d,%d\r\n"
+    start, final = history.initial, history.final
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "y", "sx", "sy", "side_id"])
-        d = history.initial.direction
-        w.writerow([num(0.0), num(history.initial.x), num(history.initial.y),
-                    d.sx, d.sy, -1])
-        w.writerows([num(ev.time), num(ev.x), num(ev.y), ev.sx, ev.sy,
-                     ev.side_id] for ev in history.events)
-        if history.final is not None:
-            fd = history.final.direction
-            w.writerow([num(history.total_time),
-                        num(history.final.x), num(history.final.y),
-                        fd.sx, fd.sy, -1])
+        fh.write("t,x,y,sx,sy,side_id\r\n")
+        fh.write(row % (0.0, float(start.x), float(start.y),
+                        start.direction.sx, start.direction.sy, -1))
+        fh.writelines(row % (float(ev.time), float(ev.x), float(ev.y),
+                             ev.sx, ev.sy, ev.side_id)
+                      for ev in history.events)
+        if final is not None:
+            fh.write(row % (float(history.total_time), float(final.x),
+                            float(final.y), final.direction.sx,
+                            final.direction.sy, -1))
 
 
 def orbit_to_svg(history: OrbitSegmentList, path) -> None:

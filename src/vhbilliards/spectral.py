@@ -170,7 +170,7 @@ def basis_function(j: int) -> Observable:
 # quadrature grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Midpoint quadrature over the table, replicated on four direction labels.
 
@@ -179,6 +179,8 @@ class QuadratureGrid:
     ``width``/``height`` are the frame observables are evaluated in;
     :func:`build_grid` sets them to the table's bounding box.  The grid is
     frozen, and a ``dataclasses.replace`` copy starts with nothing kept.
+    ``==`` and ``hash`` go by identity; :meth:`compatible` is the
+    comparison of two grids' points.
     """
 
     table: VHTable

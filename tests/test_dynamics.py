@@ -7,6 +7,7 @@ straight-line unfolding for mirror compositions.
 
 import csv
 import gc
+import io
 import math
 import weakref
 from types import SimpleNamespace
@@ -20,6 +21,8 @@ from vhbilliards.dynamics import (
     EPS_CORNER,
     DirectionState,
     FlowBatch,
+    OrbitEvent,
+    OrbitSegmentList,
     PhasePoint,
     UnfoldedFrame,
     flow,
@@ -173,6 +176,14 @@ class TestDirectionState:
         assert len(vels) == 4
         c, s = math.cos(0.7), math.sin(0.7)
         assert (c, s) in vels and (-c, -s) in vels
+
+    def test_velocity_is_cached(self):
+        d = DirectionState(0.7, -1, 1)
+        assert d.velocity is d.velocity
+        assert d.velocity == (-math.cos(0.7), math.sin(0.7))
+        # the kept value is not a field
+        twin = DirectionState(0.7, -1, 1)
+        assert d == twin and hash(d) == hash(twin)
 
     def test_rejects_degenerate_angles(self):
         for bad in (0.0, math.pi / 2, -0.3, 2.0):
@@ -661,6 +672,116 @@ class TestOrbitRecords:
                             for ev in hist.events]
 
 
+def reference_advance(table, state, t, max_events, record):
+    """The scalar loop as it stood with a new label per reflection: one
+    ``next_event`` per event and a ``DirectionState`` flip per reflection,
+    reading the side view's arrays.  Appends each event's row to
+    ``record``."""
+    sides = sides_of(table)
+    x, y = state.x, state.y
+    d = state.direction
+    elapsed = 0.0
+    events = 0
+    while True:
+        remaining = t - elapsed
+        if remaining <= 0:
+            break
+        hit, s, dt, vertex = next_event(sides, PhasePoint(x, y, d))
+        if (vertex is not None and not sides.vertex_convex[vertex]
+                and dt <= remaining):
+            raise SingularOrbit(f"orbit reaches reflex vertex {vertex}")
+        if dt > remaining:
+            vx, vy = d.velocity
+            x += vx * remaining
+            y += vy * remaining
+            break
+        x, y = hit
+        if vertex is not None:
+            d = d.flip_both()
+            s = -1
+        elif sides.axis[s]:
+            d = d.flip_y()
+        else:
+            d = d.flip_x()
+        elapsed += dt
+        events += 1
+        record.append((elapsed, x, y, s, d.sx, d.sy))
+        if events > max_events:
+            raise EventBudgetExceeded(f"exceeded {max_events} events")
+    return PhasePoint(x, y, d)
+
+
+def compare_with_reference(seed, m, max_time=30.0, max_events=25):
+    """``orbit`` and ``flow`` against :func:`reference_advance` from up to
+    six cell midpoints of a random holed table, on slopes 1, 1/2, 2 and one
+    random slope; asserts bit-equal results (``repr`` tells -0.0 from 0.0)
+    and returns the counts of corner events and of terminations."""
+    from vhbilliards.spectral import build_grid
+
+    rng = np.random.default_rng(seed)
+    table = random_table(rng, hole_probability=0.6)
+    try:
+        grid = build_grid(table, m)
+    except UnalignedGrid:
+        # a table narrower than half a cell holds no cell midpoint
+        return None
+    thetas = [math.pi / 4, math.atan(0.5), math.atan(2.0),
+              float(rng.uniform(0.05, math.pi / 2 - 0.05))]
+    counts = {"corner": 0, "singular": 0, "budget": 0}
+    pick = rng.choice(grid.npts, size=min(6, grid.npts), replace=False)
+    for i in pick.tolist():
+        for theta in thetas:
+            d = DirectionState(theta, *(int(v) for v in
+                                        rng.choice((-1, 1), size=2)))
+            start = PhasePoint(float(grid.xs[i]), float(grid.ys[i]), d)
+            hist = orbit(table, start, max_time, max_events)
+            rows = []
+            try:
+                final, terminated = reference_advance(
+                    table, start, max_time, max_events, rows), None
+            except (SingularOrbit, EventBudgetExceeded) as err:
+                final = None
+                terminated = ("singular" if isinstance(err, SingularOrbit)
+                              else "budget")
+            assert repr([(ev.time, ev.x, ev.y, ev.side_id, ev.sx, ev.sy)
+                         for ev in hist.events]) == repr(rows)
+            assert repr(hist.final) == repr(final)
+            assert hist.terminated == terminated
+            counts["corner"] += sum(s == -1 for _, _, _, s, _, _ in rows)
+            if terminated:
+                counts[terminated] += 1
+            outcomes = []
+            for run in (flow, reference_advance):
+                extra = () if run is flow else ([],)
+                try:
+                    outcomes.append(repr(run(table, start, 0.6 * max_time,
+                                             max_events, *extra)))
+                except (SingularOrbit, EventBudgetExceeded) as err:
+                    outcomes.append(type(err))
+            assert outcomes[0] == outcomes[1]
+    return counts
+
+
+class TestScalarLoopReference:
+    """``orbit`` and ``flow`` equal the scalar loop that flips a new
+    ``DirectionState`` per reflection, bit for bit, corner hits and reflex
+    terminations included."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([2, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_orbit_and_flow_equal_reference(self, seed, m):
+        assume(compare_with_reference(seed, m) is not None)
+
+    def test_draws_reach_corners_and_terminations(self):
+        # the property's draws exercise every branch of the loop
+        totals = {"corner": 0, "singular": 0, "budget": 0}
+        for seed in range(8):
+            for k, v in (compare_with_reference(seed, 4) or {}).items():
+                totals[k] += v
+        assert all(totals.values()), totals
+
+
 class TestFlowBatch:
     def test_matches_scalar_flow(self, lshape_table, rng):
         n = 60
@@ -811,6 +932,39 @@ class TestExports:
         assert first[-1] == "-1"
         for line in lines[1:]:
             t, x, y = (float(v) for v in line.split(",")[:3])
+
+    def test_csv_bytes_equal_csv_writer(self, square, tmp_path):
+        """numpy scalars in every field, written as ``csv.writer`` writes
+        the shortest float repr and the ints: CRLF line ends included."""
+        f, i = np.float64, np.int64
+        d = DirectionState(f(1.0), i(-1), i(1))
+        events = [OrbitEvent(f(t), f(x), f(y), i(s), i(sx), i(sy))
+                  for t, x, y, s, sx, sy in (
+                      (0.1 + 0.2, 1e-05, 2.0, 3, 1, 1),
+                      (1 / 3, -0.0, 1e22, -1, -1, -1),
+                      (7.0, 1.25, 5e-324, 0, 1, -1))]
+        hist = OrbitSegmentList(
+            table=square, initial=PhasePoint(f(1.5), f(1.25), d),
+            events=events, final=PhasePoint(f(0.5), f(2.0), d.flip_y()),
+            total_time=f(9.5))
+        path = tmp_path / "orbit.csv"
+        orbit_to_csv(hist, path)
+
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["t", "x", "y", "sx", "sy", "side_id"])
+        rows = [(0.0, hist.initial.x, hist.initial.y, d.sx, d.sy, -1)]
+        rows += [(ev.time, ev.x, ev.y, ev.sx, ev.sy, ev.side_id)
+                 for ev in events]
+        fd = hist.final.direction
+        rows.append((hist.total_time, hist.final.x, hist.final.y,
+                     fd.sx, fd.sy, -1))
+        w.writerows([repr(float(t)), repr(float(x)), repr(float(y)),
+                     sx, sy, side] for t, x, y, sx, sy, side in rows)
+        got = path.read_bytes()
+        assert got == want.getvalue().encode("utf-8")
+        assert got.count(b"\r\n") == len(events) + 3
+        assert b"\n" not in got.replace(b"\r\n", b"")
 
     def test_svg_written(self, lshape_table, tmp_path):
         hist = orbit(lshape_table, PhasePoint(1.5, 1.5, DirectionState(1.0)),

@@ -699,6 +699,14 @@ class TestChainFlowCache:
         with pytest.raises(FrozenInstanceError):
             grid.width = 2.0
 
+    def test_grid_equality_is_identity(self):
+        sq = unit_square()
+        a, b = build_grid(sq, 4), build_grid(sq, 4)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and {a, b} == {a, b}
+        # the points are compared by compatible, not by ==
+        assert a.compatible(b)
+
     def test_anchors_once_per_table_and_certificate(self, monkeypatch):
         import vhbilliards.spectral as spectral
 
