@@ -38,7 +38,6 @@ from .geometry import (
     tiling_parameters,
 )
 from .dynamics import (
-    MAX_EVENTS,
     DirectionState,
     PhasePoint,
     is_pi_commensurable,
@@ -194,8 +193,6 @@ def _cmd_correlate(args) -> int:
     _require(math.isfinite(args.tmax) and args.tmax >= args.step,
              f"--tmax must be finite and at least --step {args.step}, "
              f"got {args.tmax}")
-    _require(args.budget >= 0,
-             f"--budget must be nonnegative, got {args.budget}")
     _require(math.isfinite(args.theta),
              f"--theta must be a finite number, got {args.theta}")
     _require(args.m >= 1, f"--m must be a positive integer, got {args.m}")
@@ -204,8 +201,7 @@ def _cmd_correlate(args) -> int:
     grid = build_grid(table, args.m)
     n_steps = int(math.floor(args.tmax / args.step + 1e-9))
     t_grid = args.step * (1 + np.arange(n_steps))
-    series = correlation(table, args.theta, h, t_grid, grid=grid,
-                         budget=args.budget)
+    series = correlation(table, args.theta, h, t_grid, grid=grid)
     out_csv = args.output or "correlation.csv"
     series_to_csv(series, out_csv)
     summary = series_summary(series, table, h, grid)
@@ -343,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tmax", type=float, required=True)
     s.add_argument("--step", type=float, required=True)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--budget", type=int, default=MAX_EVENTS)
     s.add_argument("-o", "--output")
     s.add_argument("--summary")
     s.add_argument("--svg", help="gap-vs-t chart output path")

@@ -66,7 +66,8 @@ from .geometry import VHTable
 #: vertex-proximity tolerance (table units)
 EPS_CORNER = 1e-12
 
-#: default reflection budget per flow call
+#: reflection budget per point of a :func:`flow` call or a
+#: :class:`FlowBatch`, read at call time; :func:`orbit` takes its own
 MAX_EVENTS = 10**7
 
 #: points in one FlowBatch kernel block: the kernel's temporaries for a block
@@ -314,12 +315,13 @@ class OrbitSegmentList:
         return self.terminated == "singular"
 
 
-def flow(table: VHTable | SideTable, state: PhasePoint, t: float,
-         max_events: int = MAX_EVENTS) -> PhasePoint:
-    """Advance a phase point by total time ``t`` through its reflections."""
+def flow(table: VHTable | SideTable, state: PhasePoint,
+         t: float) -> PhasePoint:
+    """Advance a phase point by total time ``t`` through its reflections;
+    more than ``MAX_EVENTS`` of them raise :class:`EventBudgetExceeded`."""
     if not 0 <= t < math.inf:
         raise ConfigError(f"flow time must be finite and nonnegative, got {t}")
-    return _advance(sides_of(table), state, t, max_events, record=None)
+    return _advance(sides_of(table), state, t, MAX_EVENTS, record=None)
 
 
 def orbit(table: VHTable, state: PhasePoint,
@@ -431,9 +433,10 @@ class FlowBatch:
     Points advance to synchronized absolute times via :meth:`advance_to`.
     Orbits that reach a reflex corner are frozen and flagged in
     ``singular`` rather than raised, so quadrature callers can drop them and
-    renormalize.  All operations are elementwise or per-point reductions, so
-    results are bitwise independent of how points are grouped into batches
-    or blocks.
+    renormalize; a point past ``MAX_EVENTS`` events raises
+    :class:`EventBudgetExceeded`.  All operations are elementwise or
+    per-point reductions, so results are bitwise independent of how points
+    are grouped into batches or blocks.
 
     The kernel works on blocks of ``_BLOCK_POINTS`` points.  Its
     temporaries live in buffers of one block, allocated with the batch and
@@ -459,11 +462,7 @@ class FlowBatch:
 
     def __init__(self, table: VHTable | SideTable,
                  x: np.ndarray, y: np.ndarray,
-                 vx: np.ndarray, vy: np.ndarray,
-                 max_events: int = MAX_EVENTS):
-        if max_events < 0:
-            raise ConfigError(
-                f"event budget must be nonnegative, got {max_events}")
+                 vx: np.ndarray, vy: np.ndarray):
         self.sides = sides_of(table)
         self.x = np.array(x, dtype=np.float64)
         self.y = np.array(y, dtype=np.float64)
@@ -473,7 +472,6 @@ class FlowBatch:
         self.t = np.zeros(n)
         self.singular = np.zeros(n, dtype=bool)
         self.events = np.zeros(n, dtype=np.int64)
-        self.max_events = max_events
         self.target = 0.0
         self.next_t = np.empty(n)
         self.next_side = np.empty(n, dtype=np.int64)
@@ -601,9 +599,9 @@ class FlowBatch:
         take(self.events, idx, events)
         events += 1
         self.events[idx] = events
-        if events.max() > self.max_events:
+        if events.max() > MAX_EVENTS:
             raise EventBudgetExceeded(
-                f"a batch point exceeded {self.max_events} events")
+                f"a batch point exceeded {MAX_EVENTS} events")
         if reflex.any():
             self.singular[idx[reflex]] = True
             live = ~reflex

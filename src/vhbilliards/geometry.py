@@ -55,7 +55,6 @@ from .errors import (
 
 ALPHABET = "ENWS"
 HORIZONTAL = frozenset("EW")
-VERTICAL = frozenset("NS")
 
 # Unit step of each letter (dx, dy).
 _STEP = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}

@@ -30,10 +30,13 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import (
-    BilliardError,
     CombinatoricsMismatch,
     ConfigError,
+    EventBudgetExceeded,
     GeometryError,
+    SingularOrbit,
+    TooManySingular,
+    UnalignedGrid,
 )
 from .geometry import (
     CombinatoricsWord,
@@ -532,8 +535,10 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                             for f in (0.25, 0.5, 0.75)]
                 eta_emp, max_delta_at_eta = 0.0, math.nan
                 h = basis_function(j)
-                # the unperturbed series is shared by every rung; a package
-                # error on any step ends the ladder at the last stable rung
+                # the unperturbed series is shared by every rung; a table the
+                # perturbation breaks, a grid it unaligns or a flow it makes
+                # singular or too long ends the ladder at the last stable
+                # rung, and any other error is a bug and propagates
                 try:
                     series_a = correlation(snapped, PROBE_THETA, h, window_t,
                                            grid)
@@ -546,7 +551,8 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                             max_delta_at_eta = rep.max_delta
                         else:
                             break
-                except BilliardError:
+                except (GeometryError, UnalignedGrid, SingularOrbit,
+                        EventBudgetExceeded, TooManySingular):
                     pass
 
                 rows.append(GDeltaRow(

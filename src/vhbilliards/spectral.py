@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import MAX_EVENTS, DirectionState, FlowBatch
+from .dynamics import DirectionState, FlowBatch
 from .errors import ConfigError, GridMismatch, TooManySingular, UnalignedGrid
 from .geometry import (
     TilingCertificate,
@@ -405,14 +405,15 @@ class TileAverageObservable:
 
 @dataclass
 class CorrelationSeries:
-    """Time autocorrelation of an observable under the flow."""
+    """Time autocorrelation of an observable under the flow in direction
+    ``theta``."""
 
     times: np.ndarray
     values: np.ndarray
     level: float            # squared mean against the indicator
     norm_sq: float          # value at t = 0
     dropped_fraction: float
-    meta: dict = field(default_factory=dict)
+    theta: float
 
     @property
     def gap(self) -> np.ndarray:
@@ -443,7 +444,6 @@ def _direction_batch(grid: QuadratureGrid, thetas: Sequence[float]
 
 def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
                        t_grid: Sequence[float],
-                       budget: int = MAX_EVENTS,
                        ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Correlation values C_j(theta_i, t_k) for a stack of observables ``hs``
     and a batch of directions.
@@ -458,7 +458,8 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     which equal one jump from 0.  The per-direction reduction order is
     fixed, so a value at t depends only on theta, t and the grid, not on
     the other grid times, the chunking of directions across workers or the
-    other observables sharing the flow.  Before any work, a theta outside
+    other observables sharing the flow.  Every flow has the ``MAX_EVENTS``
+    budget per point.  Before any work, a theta outside
     (0, pi/2) raises :class:`DegenerateDirection`, as it does for
     :func:`dynamics.orbit`, and a time grid that is not finite, nonnegative
     and strictly increasing raises :class:`ConfigError`.
@@ -482,8 +483,7 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     for start in range(0, thetas.size, chunk):
         sel = thetas[start:start + chunk]
         nb = sel.size
-        batch = FlowBatch(grid.table, *_direction_batch(grid, sel),
-                          max_events=budget)
+        batch = FlowBatch(grid.table, *_direction_batch(grid, sel))
         frac = np.zeros(nb)
         for k, t_k in enumerate(t_grid):
             x, y = batch.advance_to(float(t_k))
@@ -513,28 +513,26 @@ def _check_grid_table(table: VHTable, grid: QuadratureGrid) -> None:
 
 
 def correlation(table: VHTable, theta: float, h, t_grid: Sequence[float],
-                grid: QuadratureGrid,
-                budget: int = MAX_EVENTS) -> CorrelationSeries:
+                grid: QuadratureGrid) -> CorrelationSeries:
     """Autocorrelation t -> <h o flow_t, h> on the normalized measure.
 
     Each value is that of a flow from 0 straight to its time, whatever the
-    other times (:func:`sweep_correlations`).  Orbits that reach a reflex
+    other times, and the flow has the ``MAX_EVENTS`` budget per point
+    (:func:`sweep_correlations`).  Orbits that reach a reflex
     corner are dropped and the mass renormalized, aborting if the dropped
     fraction passes MAX_DROPPED_FRACTION.  ``grid`` must belong to
     ``table`` (:class:`GridMismatch` otherwise), and ``h`` is evaluated in
     the grid's frame; ``level`` and ``norm_sq`` come from the sweep's ``h0s``.
     """
     _check_grid_table(table, grid)
-    values, dropped, (h0,) = sweep_correlations(grid, [theta], [h], t_grid,
-                                                budget=budget)
+    values, dropped, (h0,) = sweep_correlations(grid, [theta], [h], t_grid)
     return CorrelationSeries(
         times=np.asarray(t_grid, dtype=np.float64),
         values=values[0, 0],
         level=float(np.sum(h0) / grid.npts) ** 2,
         norm_sq=float(np.sum(h0 * h0) / grid.npts),
         dropped_fraction=float(dropped[0]),
-        meta={"theta": float(theta), "m": grid.m,
-              "table_hash": table_hash(grid.table)},
+        theta=float(theta),
     )
 
 
@@ -775,7 +773,7 @@ def series_summary(series: CorrelationSeries, table: VHTable, h,
         "version": _version,
         "table": table_to_dict(table),
         "table_hash": table_hash(table),
-        "theta": series.meta.get("theta"),
+        "theta": series.theta,
         "observable": h.descriptor(),
         "grid_m": grid.m,
         "level": series.level,

@@ -283,25 +283,19 @@ class TestCorrelate:
                      "--m", "4", "-o", str(out_csv)]) == 0
         assert len(out_csv.read_text().strip().splitlines()) == 2
 
-    def test_negative_budget_exits_1(self, square_file, tmp_path, capsys):
+    def test_event_budget_exits_2(self, square_file, tmp_path, capsys,
+                                  monkeypatch):
+        from vhbilliards import dynamics
+
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", 5)
         out_csv = tmp_path / "series.csv"
         code = main(["correlate", square_file, "--theta", "1.0",
-                     "--h", "1,0", "--tmax", "1", "--step", "0.5",
-                     "--m", "4", "--budget", "-1", "-o", str(out_csv)])
-        assert code == 1
+                     "--h", "1,0", "--tmax", "10", "--step", "0.5",
+                     "--m", "4", "-o", str(out_csv)])
+        assert code == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
-        assert "--budget" in err["message"]
+        assert err["error"] == "EventBudgetExceeded"
         assert not out_csv.exists()
-
-    def test_budget_defaults_to_library_budget(self, square_file):
-        from vhbilliards.cli import _build_parser
-        from vhbilliards.dynamics import MAX_EVENTS
-
-        args = _build_parser().parse_args(
-            ["correlate", square_file, "--theta", "1.0", "--h", "1,0",
-             "--tmax", "1", "--step", "0.5", "--m", "4"])
-        assert args.budget == MAX_EVENTS
 
 
 class TestThetaSweepCommand:
@@ -561,11 +555,13 @@ class TestUsageErrors:
           "--time", "1", "--sx", "3"], "--sx"),
         (["correlate", "{table}", "--theta", "1", "--h", "1,0", "--tmax",
           "1", "--step", "0.5", "--m", "x"], "--m"),
+        (["correlate", "{table}", "--theta", "1", "--h", "1,0", "--tmax",
+          "1", "--step", "0.5", "--m", "4", "--budget", "5"], "--budget"),
         (["validate"], "table"),
         (["bogus"], "command"),
         ([], "command"),
     ], ids=["orbit-y-minus-inf", "orbit-missing-time", "orbit-sx-choice",
-            "correlate-m-word", "validate-missing-table", "unknown-command",
+            "correlate-m-word", "correlate-budget", "validate-missing-table", "unknown-command",
             "no-command"])
     def test_usage_error_exits_1(self, square_file, capsys, args, name):
         argv = [a.format(table=square_file) for a in args]

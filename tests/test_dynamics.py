@@ -11,12 +11,14 @@ import io
 import math
 import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vhbilliards import dynamics
 from vhbilliards.dynamics import (
     EPS_CORNER,
     DirectionState,
@@ -425,10 +427,16 @@ class TestFlow:
         with pytest.raises(SingularOrbit):
             flow(lshape_table, start, 2.0)
 
-    def test_event_budget(self, square):
+    def test_event_budget(self, square, monkeypatch):
+        # flow reads dynamics.MAX_EVENTS at call time and allows exactly
+        # that many events
         start = PhasePoint(1.5, 1.5, DirectionState(1.0))
+        events = len(orbit(square, start, max_time=100.0).events)
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", events)
+        flow(square, start, 100.0)
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", events - 1)
         with pytest.raises(EventBudgetExceeded):
-            flow(square, start, 100.0, max_events=10)
+            flow(square, start, 100.0)
 
     @pytest.mark.parametrize("t", [-5.0, math.nan])
     def test_negative_or_nan_time_rejected(self, square, t):
@@ -439,7 +447,7 @@ class TestFlow:
     def test_infinite_time_rejected(self, square):
         start = PhasePoint(1.5, 1.5, DirectionState(1.0))
         with pytest.raises(ValueError, match="finite"):
-            flow(square, start, math.inf, max_events=10)
+            flow(square, start, math.inf)
 
     def test_direction_class_closure_many_events(self, lshape_table):
         state = PhasePoint(1.2345, 1.5432, DirectionState(0.8765))
@@ -466,8 +474,7 @@ class TestFlow:
             theta = 0.1 + 1.3 * rng.random()
             c, s = math.cos(theta), math.sin(theta)
             batch = FlowBatch(table, np.array([x]), np.array([y]),
-                              np.array([c]), np.array([s]),
-                              max_events=10**6)
+                              np.array([c]), np.array([s]))
             # advance in bounded chunks until 1e4 reflections accumulate
             t = 0.0
             chunk = 200.0 * float(max(x1 - x0, y1 - y0))
@@ -527,11 +534,10 @@ class TestOrbit:
         assert hist.terminated == "budget"
         assert len(hist.events) == 6
 
-    @pytest.mark.parametrize("run", [flow, orbit])
-    def test_negative_event_budget_rejected(self, square, run):
+    def test_negative_event_budget_rejected(self, square):
         start = PhasePoint(1.5, 1.5, DirectionState(1.0))
         with pytest.raises(ValueError, match="budget"):
-            run(square, start, 5.0, max_events=-3)
+            orbit(square, start, 5.0, max_events=-3)
 
     def test_singular_orbit_is_flagged(self, lshape_table):
         hist = orbit(lshape_table, PhasePoint(1.5, 1.5,
@@ -752,10 +758,12 @@ def compare_with_reference(seed, m, max_time=30.0, max_events=25):
                 counts[terminated] += 1
             outcomes = []
             for run in (flow, reference_advance):
-                extra = () if run is flow else ([],)
+                extra = () if run is flow else (max_events, [])
                 try:
-                    outcomes.append(repr(run(table, start, 0.6 * max_time,
-                                             max_events, *extra)))
+                    with mock.patch.object(dynamics, "MAX_EVENTS",
+                                           max_events):
+                        outcomes.append(repr(run(table, start,
+                                                 0.6 * max_time, *extra)))
                 except (SingularOrbit, EventBudgetExceeded) as err:
                     outcomes.append(type(err))
             assert outcomes[0] == outcomes[1]
@@ -851,28 +859,25 @@ class TestFlowBatch:
             assert x[1] == batch.x[1] + batch.vx[1] * dt
             assert y[1] == batch.y[1] + batch.vy[1] * dt
 
-    def test_budget(self, square):
-        batch = FlowBatch(square, np.array([1.5]), np.array([1.5]),
-                          np.array([math.cos(1.0)]), np.array([math.sin(1.0)]),
-                          max_events=5)
+    def test_budget(self, square, monkeypatch):
+        # the batch reads dynamics.MAX_EVENTS at call time and allows
+        # exactly that many events per point
+        args = (square, np.array([1.5, 1.2]), np.array([1.5, 1.7]),
+                np.array([math.cos(1.0)] * 2), np.array([math.sin(1.0)] * 2))
+        batch = FlowBatch(*args)
+        batch.advance_to(50.0)
+        most = int(batch.events.max())
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", most)
+        FlowBatch(*args).advance_to(50.0)
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", most - 1)
         with pytest.raises(EventBudgetExceeded):
-            batch.advance_to(50.0)
-
-    def test_negative_budget_rejected(self, square):
-        # the message of the scalar loop's check
-        start = PhasePoint(1.5, 1.5, DirectionState(1.0))
-        with pytest.raises(ValueError) as scalar:
-            flow(square, start, 5.0, max_events=-1)
-        with pytest.raises(ValueError) as batch:
-            FlowBatch(square, [1.5], [1.5], [math.cos(1.0)],
-                      [math.sin(1.0)], max_events=-1)
-        assert str(batch.value) == str(scalar.value)
+            FlowBatch(*args).advance_to(50.0)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected(self, square, target):
         batch = FlowBatch(square, np.array([1.5, 1.2]), np.array([1.5, 1.7]),
                           np.array([math.cos(1.0)] * 2),
-                          np.array([math.sin(1.0)] * 2), max_events=100)
+                          np.array([math.sin(1.0)] * 2))
         batch.advance_to(0.5)
         before = [getattr(batch, k).copy() for k in ("x", "y", "t", "events")]
         with pytest.raises(ValueError, match="not finite"):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from vhbilliards import dynamics
 from vhbilliards.dynamics import (
     EPS_CORNER,
-    MAX_EVENTS,
     FlowBatch,
     sides_of,
 )
@@ -36,7 +35,7 @@ FLOWED = STATE + ("x_at", "y_at")
 class AllSidesBatch:
     """The batch kernel before side groups and blocks."""
 
-    def __init__(self, sides, x, y, vx, vy, max_events=MAX_EVENTS):
+    def __init__(self, sides, x, y, vx, vy):
         self.sides = sides
         self.v_idx = np.nonzero(sides.axis == 0)[0]
         self.h_idx = np.nonzero(sides.axis == 1)[0]
@@ -48,7 +47,6 @@ class AllSidesBatch:
         self.t = np.zeros(n)
         self.singular = np.zeros(n, dtype=bool)
         self.events = np.zeros(n, dtype=np.int64)
-        self.max_events = max_events
         self.next_t = np.empty(n)
         self.next_side = np.empty(n, dtype=np.int64)
         self._recompute(np.arange(n))

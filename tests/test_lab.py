@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from vhbilliards import lab
-from vhbilliards.errors import CombinatoricsMismatch, ConfigError
+from vhbilliards.errors import (
+    CombinatoricsMismatch,
+    ConfigError,
+    EventBudgetExceeded,
+    GridMismatch,
+    NonPositiveLength,
+    SingularOrbit,
+    TooManySingular,
+    UnalignedGrid,
+)
 from vhbilliards.geometry import (
     lshape,
     save_table,
@@ -283,17 +292,36 @@ class TestGDeltaDemo:
         assert row.target_met
         assert row.eta_capped
 
-    def test_probe_bug_propagates(self, monkeypatch):
-        # only package errors end the stability ladder; anything else is a
-        # bug and must not turn into a smaller eta_emp
+    @staticmethod
+    def _demo_with_probe_raising(monkeypatch, error):
         def broken_probe(*args, **kwargs):
-            raise RuntimeError("bug inside the continuity probe")
+            raise error
 
         monkeypatch.setattr(lab, "_probe_against", broken_probe)
-        with pytest.raises(RuntimeError, match="bug inside"):
-            gdelta_demo("ENWS", (Fraction(1, 2), Fraction(30)),
-                        q_list=[2], j_max=1, n_list=[2], m=4,
-                        seed=1, theta_count=4, tau_factor=4)
+        return gdelta_demo("ENWS", (Fraction(1, 2), Fraction(30)),
+                           q_list=[2], j_max=1, n_list=[2], m=4,
+                           seed=1, theta_count=4, tau_factor=4)
+
+    @pytest.mark.parametrize("error", [
+        NonPositiveLength, UnalignedGrid, SingularOrbit, EventBudgetExceeded,
+        TooManySingular])
+    def test_rung_failure_ends_ladder(self, monkeypatch, error):
+        # a perturbed table that breaks, a grid it unaligns or a flow it
+        # makes singular or too long ends the ladder below its first rung
+        report = self._demo_with_probe_raising(monkeypatch,
+                                               error("planted"))
+        row = report.rows[0]
+        assert row.eta_emp == 0.0 and math.isnan(row.max_delta_at_eta)
+
+    def test_probe_bug_propagates(self, monkeypatch):
+        # any other error is a bug, a package error included, and must not
+        # turn into a smaller eta_emp
+        for bug in (RuntimeError("bug inside the continuity probe"),
+                    GridMismatch("planted grid mismatch"),
+                    ConfigError("planted config error")):
+            with pytest.raises(type(bug)) as raised:
+                self._demo_with_probe_raising(monkeypatch, bug)
+            assert raised.value is bug
 
     def test_empty_q_list_rejected(self):
         with pytest.raises(ConfigError):

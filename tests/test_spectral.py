@@ -367,6 +367,15 @@ class TestCorrelation:
             correlation(table, math.pi / 4, Observable.cosine(1, 0),
                         np.array([3.0]), grid=grid)
 
+    def test_event_budget(self, square_grid, monkeypatch):
+        # the sweep's batches read dynamics.MAX_EVENTS at call time
+        import vhbilliards.dynamics as dynamics
+
+        monkeypatch.setattr(dynamics, "MAX_EVENTS", 5)
+        with pytest.raises(EventBudgetExceeded):
+            sweep_correlations(square_grid, [1.0], [Observable.cosine(1, 0)],
+                               [50.0])
+
     def test_decreasing_time_grid_rejected(self, square_grid):
         with pytest.raises(ValueError):
             correlation(unit_square(), 1.0, Observable.cosine(1, 0),
@@ -901,7 +910,7 @@ class TestCesaro:
         series = CorrelationSeries(
             times=t,
             values=0.5 * np.cos(2 * math.pi * t * math.cos(theta)),
-            level=0.0, norm_sq=0.5, dropped_fraction=0.0)
+            level=0.0, norm_sq=0.5, dropped_fraction=0.0, theta=theta)
         assert abs(series.cesaro_squared()[-1] - 0.125) < 0.01
 
 
