@@ -45,7 +45,6 @@ from .geometry import (
     build_polygon,
     build_table,
     check_config_keys,
-    load_table,
     parameter_distance,
     table_hash,
     table_to_dict,
@@ -59,6 +58,9 @@ from .spectral import (
 
 #: perturbation ladder of the genericity demo's stability probes
 D_LADDER = (Fraction(1, 25), Fraction(1, 50), Fraction(1, 100))
+
+#: the genericity demo's window ends run n_gap * 2, 4, ... up to this factor
+TAU_FACTOR = 8
 
 #: direction of the genericity demo's stability probes
 PROBE_THETA = 1.0
@@ -205,7 +207,7 @@ class ThetaSetEstimate:
 
 
 def theta_sweep(config: ExperimentConfig,
-                table: VHTable | None = None) -> list[ThetaSetEstimate]:
+                table: VHTable) -> list[ThetaSetEstimate]:
     """Run the direction sweep; one estimate per configured basis index.
 
     All basis indices share one flow per chunk of directions, and the levels
@@ -213,8 +215,6 @@ def theta_sweep(config: ExperimentConfig,
     Deterministic given the seed: the theta sample, the time grid and every
     reduction order are fixed, independently of ``workers``.
     """
-    if table is None:
-        table = load_table(config.table_path)
     thetas = stratified_thetas(config.count, config.seed)
     t_grid = config.time_grid()
     grid = build_grid(table, config.grid_m)
@@ -464,24 +464,23 @@ class GDeltaReport:
 
 
 def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
-                seed: int = 0, theta_count: int = 32,
-                tau_factor: int = 8) -> GDeltaReport:
+                seed: int = 0, theta_count: int = 32) -> GDeltaReport:
     """Tabulate empirical window lengths and stability radii over a ladder of
     lattice refinements of one combinatorics class.
 
     For each requested refinement level a random table with area inside
     ``area_band`` is snapped to the lattice; for every basis index and gap
     level the sweep measure is evaluated on a doubling ladder of window ends
-    (reporting the first one reaching 1 - 1/n^2), and the stability radius is
-    the largest rung of ``D_LADDER`` keeping the correlation at
-    ``PROBE_THETA`` within 1/(2n), probed on one grid per snapped table.
+    up to ``n * TAU_FACTOR`` (reporting the first one reaching 1 - 1/n^2),
+    and the stability radius is the largest rung of ``D_LADDER`` keeping the
+    correlation at ``PROBE_THETA`` within 1/(2n), probed on one grid per
+    snapped table.
     Demonstration data only: nothing here is a convergence claim.
     """
     _require(isinstance(word, (str, CombinatoricsWord)),
              f"word must be a string of E/N/W/S letters, got {word!r}")
     for name, value, least in (("j_max", j_max, 1), ("grid_m", m, 1),
                                ("theta_count", theta_count, 1),
-                               ("tau_factor", tau_factor, 2),
                                ("seed", seed, 0)):
         _check_int(name, value)
         _require(value >= least,
@@ -512,9 +511,8 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
 
         for j in range(1, j_max + 1):
             for n_gap in n_list:
-                # window ends n_gap * 2, 4, 8, ... up to n_gap * tau_factor
                 tau_ladder = [n_gap * 2 ** k
-                              for k in range(1, tau_factor.bit_length())]
+                              for k in range(1, TAU_FACTOR.bit_length())]
                 cfg = ExperimentConfig(
                     table_path="<in-memory>", count=theta_count,
                     seed=seed + 7919 * i + 131 * j + n_gap,

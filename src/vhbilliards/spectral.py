@@ -4,8 +4,9 @@ The invariant measure is the product of normalized area measure on the table
 with uniform weight on the four direction labels; quadrature uses midpoints of
 an m-per-unit cell grid, with weights normalized to total mass one.  When m is
 a multiple of both tiling denominators the grid is *aligned*: every cell lies
-in exactly one rectangle tile, which makes the tile-average projector exactly
-idempotent and self-adjoint at the discrete level.
+in exactly one rectangle tile, which makes the tile-average projector
+self-adjoint at the discrete level and idempotent to the rounding of one
+pairwise sum per class (at most 2.8e-16 over 400 random tables).
 
 There are three kinds of observable: trigonometric sums over a frame
 ``(width, height)`` (:class:`Observable`), their analytic tile average
@@ -109,18 +110,17 @@ class Observable:
         return cls(items)
 
     @classmethod
-    def constant(cls, value: float = 1.0) -> "Observable":
+    def constant(cls, value: float) -> "Observable":
         return cls.from_dict({(0, 0): complex(value)})
 
     @classmethod
-    def cosine(cls, kx: int, ky: int, amplitude: float = 1.0) -> "Observable":
-        a = amplitude / 2.0
-        return cls.from_dict({(kx, ky): complex(a), (-kx, -ky): complex(a)})
+    def cosine(cls, kx: int, ky: int) -> "Observable":
+        return cls.from_dict({(kx, ky): 0.5 + 0j, (-kx, -ky): 0.5 + 0j})
 
     @classmethod
-    def sine(cls, kx: int, ky: int, amplitude: float = 1.0) -> "Observable":
-        a = amplitude / 2.0
-        return cls.from_dict({(kx, ky): complex(0, -a), (-kx, -ky): complex(0, a)})
+    def sine(cls, kx: int, ky: int) -> "Observable":
+        return cls.from_dict({(kx, ky): complex(0, -0.5),
+                              (-kx, -ky): complex(0, 0.5)})
 
     def evaluate(self, xs, ys, width: float, height: float) -> np.ndarray:
         return _eval_trig(self.coeffs, np.asarray(xs, dtype=np.float64),
@@ -191,8 +191,8 @@ class QuadratureGrid:
     iy: np.ndarray
     width: float
     height: float
-    # (p, q) -> tile classes, and "flow" -> one direction's (theta, batch,
-    # t -> (x, y, singular)); see tile_classes and _flowed
+    # certificate -> its (cls, rows), and "flow" -> one direction's (theta,
+    # batch, t -> (x, y, singular)); see tile_classes and _flowed
     _kept: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -207,9 +207,6 @@ class QuadratureGrid:
     def compatible(self, other: "QuadratureGrid") -> bool:
         return self is other or (self.m == other.m and self.table == other.table)
 
-    def aligned_for(self, cert: TilingCertificate) -> bool:
-        return self.m % cert.p == 0 and self.m % cert.q == 0
-
     def evaluate(self, h) -> np.ndarray:
         """Values of an observable at the grid points, in the grid's frame."""
         if isinstance(h, SampledObservable):
@@ -219,19 +216,33 @@ class QuadratureGrid:
             return h.values
         return h.evaluate(self.xs, self.ys, self.width, self.height)
 
-    def tile_classes(self, cert: TilingCertificate) -> tuple[np.ndarray, int]:
-        """Congruence class index per grid point under the (1/p, 1/q) lattice."""
-        if not self.aligned_for(cert):
+    def tile_classes(self, cert: TilingCertificate
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(cls, rows)`` under the (1/p, 1/q) lattice: each grid point's
+        congruence class, and one row per class listing its points in grid
+        order, ``cert.tile_count`` of them.
+
+        Built and checked once per certificate: a grid not aligned for it,
+        or a class not holding one point per tile, raises
+        :class:`UnalignedGrid`.
+        """
+        kept = self._kept.get(cert)
+        if kept is not None:
+            return kept
+        if self.m % cert.p or self.m % cert.q:
             raise UnalignedGrid(
                 f"grid m = {self.m} is not a multiple of p = {cert.p} "
                 f"and q = {cert.q}")
-        key = (cert.p, cert.q)
-        if key not in self._kept:
-            mx = self.m // cert.p
-            my = self.m // cert.q
-            cls = (self.ix % mx) * my + (self.iy % my)
-            self._kept[key] = (cls.astype(np.int64), mx * my)
-        return self._kept[key]
+        mx = self.m // cert.p
+        my = self.m // cert.q
+        cls = (self.ix % mx) * my + (self.iy % my)
+        if not np.all(np.bincount(cls, minlength=mx * my) == cert.tile_count):
+            raise UnalignedGrid(
+                "tile classes are not uniformly populated; the certificate "
+                "does not describe a tiling of this table")
+        rows = np.argsort(cls, kind="stable").reshape(mx * my, -1)
+        self._kept[cert] = (cls, rows)
+        return cls, rows
 
     def _flowed(self, theta: float, t: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,18 +338,13 @@ def tile_average(h, cert: TilingCertificate, grid: QuadratureGrid) -> SampledObs
     """Average the observable over the rectangle tiles.
 
     Each congruence class of grid points modulo the (1/p, 1/q) lattice is
-    replaced by its mean; the result is (1/p, 1/q)-periodic across the table
-    by construction and preserves the integral exactly.
+    replaced by its mean, the pairwise sum of its row of
+    :meth:`QuadratureGrid.tile_classes` over the tile count.  The result is
+    (1/p, 1/q)-periodic across the table by construction, and preserves the
+    integral and is idempotent to the rounding of one pairwise sum per class.
     """
-    cls, ncls = grid.tile_classes(cert)
-    values = grid.evaluate(h)
-    counts = np.bincount(cls, minlength=ncls)
-    if not np.all(counts == cert.tile_count):
-        raise UnalignedGrid(
-            "tile classes are not uniformly populated; the certificate does "
-            "not describe a tiling of this table")
-    sums = np.bincount(cls, weights=values, minlength=ncls)
-    means = sums / counts
+    cls, rows = grid.tile_classes(cert)
+    means = grid.evaluate(h)[rows].sum(axis=1) / cert.tile_count
     return SampledObservable(grid, means[cls])
 
 
@@ -431,12 +437,9 @@ class CorrelationSeries:
 def _direction_batch(grid: QuadratureGrid, thetas: Sequence[float]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """FlowBatch inputs ``(x, y, vx, vy)``: the grid points on each theta's
-    four labels (c, s), (c, -s), (-c, s), (-c, -s), in that order."""
-    ux, uy = [], []
-    for th in thetas:
-        c, s = math.cos(th), math.sin(th)
-        ux += (c, c, -c, -c)
-        uy += (s, -s, s, -s)
+    four labels, in the order of ``DirectionState.direction_class``."""
+    ux, uy = zip(*(d.velocity for th in thetas
+                   for d in DirectionState(th).direction_class()))
     k = len(ux)
     return (np.tile(grid.xs, k), np.tile(grid.ys, k),
             np.repeat(ux, grid.npts), np.repeat(uy, grid.npts))
@@ -613,8 +616,6 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
         raise ConfigError(f"chain check time must be finite and "
                           f"nonnegative, got {t}")
     _check_grid_table(table, grid)
-    if not grid.aligned_for(cert):
-        raise UnalignedGrid("chain check needs a tile-aligned grid")
     h_vals = grid.evaluate(h)
     hd = tile_average(SampledObservable(grid, h_vals), cert, grid)
     hc_vals = h_vals - hd.values
@@ -709,10 +710,8 @@ def oscillation_bound_check(h: Observable, cert: TilingCertificate,
     if not tile_bound < delta:
         return OscillationReport(False, delta, tile_bound, math.nan, bound, False)
 
-    hd = tile_average(h, cert, grid)
-    cls, ncls = grid.tile_classes(cert)
-    class_vals = np.empty(ncls)
-    class_vals[cls] = hd.values
+    _, rows = grid.tile_classes(cert)
+    class_vals = tile_average(h, cert, grid).values[rows[:, 0]]
     mx = grid.m // cert.p
     my = grid.m // cert.q
     # classes form an (mx, my) raster of in-tile offsets.  Every offset

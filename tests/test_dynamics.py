@@ -921,6 +921,33 @@ class TestMeasurePreservation:
                         count += int(alive.sum())
                 assert abs(total / count - mean0) <= 3.0 / m
 
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_means_preserved_on_random_tables(self, seed):
+        # the alive mean of h o flow_t over all four labels stays within
+        # O(1/m) of the grid mean of h (at most 1.93/m over 260 seeds)
+        from vhbilliards.spectral import (
+            _direction_batch,
+            basis_function,
+            build_grid,
+        )
+
+        m = 24
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, hole_probability=0.6)
+        theta = float(rng.uniform(0.05, math.pi / 2 - 0.05))
+        grid = build_grid(table, m)
+        batch = FlowBatch(table, *_direction_batch(grid, [theta]))
+        hs = [basis_function(j) for j in range(2, 7)]
+        means = [float(np.sum(grid.evaluate(h)) / grid.npts) for h in hs]
+        for t in (1.0, 5.0):
+            x, y = batch.advance_to(t)
+            alive = ~batch.singular
+            for h, mean in zip(hs, means):
+                vals = h.evaluate(x, y, grid.width, grid.height)
+                moved = float(np.sum(vals * alive) / alive.sum())
+                assert abs(moved - mean) <= 3.0 / m
+
 
 class TestExports:
     def test_csv_columns_and_rows(self, square, tmp_path):

@@ -96,14 +96,14 @@ class TestThetaSweep:
     def test_indicator_observable_hits_everywhere(self, square_file):
         cfg = ExperimentConfig(table_path=square_file, count=8, seed=1,
                                n_gap=4, tau=10.0, h_indices=(1,), grid_m=4)
-        est = theta_sweep(cfg)[0]
+        est = theta_sweep(cfg, table=unit_square())[0]
         assert est.measure == 1.0
         assert np.all(est.min_gap < 1e-10)
 
     def test_square_cosine_dips(self, square_file):
         cfg = ExperimentConfig(table_path=square_file, count=12, seed=5,
                                n_gap=5, tau=40.0, h_indices=(6,), grid_m=8)
-        est = theta_sweep(cfg)[0]
+        est = theta_sweep(cfg, table=unit_square())[0]
         # closed form guarantees a dip whenever the window length exceeds
         # half the gap period 1/(2 cos theta); check agreement per theta
         for i, theta in enumerate(est.thetas):
@@ -113,15 +113,17 @@ class TestThetaSweep:
     def test_monotone_in_tau(self, square_file):
         base = dict(table_path=square_file, count=16, seed=9, n_gap=5,
                     h_indices=(6,), grid_m=8)
-        short = theta_sweep(ExperimentConfig(tau=15.0, **base))[0]
-        long = theta_sweep(ExperimentConfig(tau=30.0, **base))[0]
+        short = theta_sweep(ExperimentConfig(tau=15.0, **base),
+                            table=unit_square())[0]
+        long = theta_sweep(ExperimentConfig(tau=30.0, **base),
+                           table=unit_square())[0]
         assert long.measure >= short.measure
         assert np.all(long.min_gap <= short.min_gap + 1e-15)
 
     def test_multiple_h_indices(self, square_file):
         cfg = ExperimentConfig(table_path=square_file, count=4, seed=2,
                                n_gap=4, tau=10.0, h_indices=(1, 6), grid_m=4)
-        ests = theta_sweep(cfg)
+        ests = theta_sweep(cfg, table=unit_square())
         assert [e.h_index for e in ests] == [1, 6]
 
     def test_observables_evaluated_once_at_grid_points(self, square_file,
@@ -137,7 +139,7 @@ class TestThetaSweep:
             return evaluate(h, xs, ys, width, height)
 
         monkeypatch.setattr(Observable, "evaluate", counted)
-        theta_sweep(cfg)
+        theta_sweep(cfg, table=unit_square())
         npts = build_grid(unit_square(), 4).npts
         assert sizes.count(npts) == 2
         assert len(sizes) == 2 + 2 * cfg.time_grid().size
@@ -269,10 +271,11 @@ class TestRandomTable:
 
 
 class TestGDeltaDemo:
-    def test_structure_row_count(self):
+    def test_structure_row_count(self, monkeypatch):
+        monkeypatch.setattr(lab, "TAU_FACTOR", 4)
         report = gdelta_demo("ENWNWS", (Fraction(1), Fraction(8)),
                              q_list=[2, 3], j_max=3, n_list=[2, 3], m=6,
-                             seed=4, theta_count=6, tau_factor=4)
+                             seed=4, theta_count=6)
         assert len(report.rows) == 2 * 3 * 2
         assert len(report.tables) == 2
         for row in report.rows:
@@ -283,10 +286,11 @@ class TestGDeltaDemo:
             cert = table.certificate
             assert min(cert.p, cert.q) >= q_min
 
-    def test_indicator_gives_full_measure_and_capped_eta(self):
+    def test_indicator_gives_full_measure_and_capped_eta(self, monkeypatch):
+        monkeypatch.setattr(lab, "TAU_FACTOR", 4)
         report = gdelta_demo("ENWS", (Fraction(1, 2), Fraction(30)),
                              q_list=[2], j_max=1, n_list=[2], m=4,
-                             seed=1, theta_count=4, tau_factor=4)
+                             seed=1, theta_count=4)
         row = report.rows[0]
         assert row.measure == 1.0
         assert row.target_met
@@ -298,9 +302,10 @@ class TestGDeltaDemo:
             raise error
 
         monkeypatch.setattr(lab, "_probe_against", broken_probe)
+        monkeypatch.setattr(lab, "TAU_FACTOR", 4)
         return gdelta_demo("ENWS", (Fraction(1, 2), Fraction(30)),
                            q_list=[2], j_max=1, n_list=[2], m=4,
-                           seed=1, theta_count=4, tau_factor=4)
+                           seed=1, theta_count=4)
 
     @pytest.mark.parametrize("error", [
         NonPositiveLength, UnalignedGrid, SingularOrbit, EventBudgetExceeded,
@@ -332,10 +337,11 @@ class TestGDeltaDemo:
             gdelta_demo("ENWS", (1, 2), q_list=[3, 2], j_max=1, n_list=[2],
                         m=4)
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lab, "TAU_FACTOR", 4)
         report = gdelta_demo("ENWS", (Fraction(1, 2), Fraction(30)),
                              q_list=[2], j_max=1, n_list=[2], m=4,
-                             seed=1, theta_count=4, tau_factor=4)
+                             seed=1, theta_count=4)
         path = tmp_path / "gdelta.csv"
         gdelta_to_csv(report, path)
         lines = path.read_text().strip().splitlines()

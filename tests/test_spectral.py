@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vhbilliards.dynamics import DirectionState, PhasePoint, flow
@@ -258,25 +258,44 @@ class TestTileAverage:
         with pytest.raises(UnalignedGrid):
             tile_average(Observable.cosine(1, 0), lshape5.certificate, grid)
 
+    def test_wrong_tile_count_rejected(self, lshape5, counted_batches):
+        # the right (p, q) with a tile count the table does not have: every
+        # tile reduction raises, also on a grid that keeps the right
+        # certificate's classes, and the chain check flows nothing
+        cert = lshape5.certificate
+        wrong = replace(cert, tile_count=cert.tile_count + 1)
+        h = basis_function(2)
+        calls = [lambda g: tile_average(h, wrong, g),
+                 lambda g: oscillation_bound_check(h, wrong, g, eps=50.0),
+                 lambda g: correlation_chain_check(lshape5, wrong, 1.0, h,
+                                                   5.0, g)]
+        kept = build_grid(lshape5, 20)
+        tile_average(h, cert, kept)
+        assert oscillation_bound_check(h, cert, kept, eps=50.0).hypothesis_met
+        for call in calls:
+            for grid in (build_grid(lshape5, 20), kept):
+                with pytest.raises(UnalignedGrid, match="not uniformly"):
+                    call(grid)
+        assert counted_batches == []
+
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=3335828575)  # one class of 268,668 points
     @settings(max_examples=60, deadline=None)
     def test_projector_identities_on_random_tables(self, seed):
         # idempotent, self-adjoint, integral-preserving and constant on
-        # each tile class on an aligned grid of a random table
+        # each tile class on an aligned grid of a random table; each class
+        # mean is one pairwise sum, so averaging equal values rounds by
+        # O(log n) ulps for a class of n points
         table = random_table(np.random.default_rng(seed),
                              hole_probability=0.6)
         cert = tiling_parameters(table)
         grid = build_grid(table, aligned_m(cert, 1))
         cls, _ = grid.tile_classes(cert)
-        # averaging n equal values sums them one after another (bincount),
-        # which may round by up to n ulps of the value; with one point per
-        # tile in a class, n is the tile count
-        idem_tol = max(1e-12, cert.tile_count * np.finfo(float).eps)
         hs = [basis_function(j) for j in (2, 5, 6)]
         for h, g in zip(hs, hs[1:] + hs[:1]):
             hd = tile_average(h, cert, grid)
             hdd = tile_average(hd, cert, grid)
-            assert np.abs(hdd.values - hd.values).max() <= idem_tol
+            assert np.abs(hdd.values - hd.values).max() <= 1e-12
             assert abs(inner(hd, g, grid)
                        - inner(h, tile_average(g, cert, grid), grid)) <= 1e-12
             assert abs(inner(hd, chi(grid), grid)
@@ -504,11 +523,12 @@ class TestChainCheck:
         assert rep.unitarity_defect <= 3.0 / grid.m
         assert abs(rep.cross_term) <= 10.0 / grid.m
 
-    def test_requires_aligned_grid(self, lshape5):
+    def test_requires_aligned_grid(self, lshape5, counted_batches):
         grid = build_grid(lshape5, 7)
         with pytest.raises(UnalignedGrid):
             correlation_chain_check(lshape5, lshape5.certificate, 1.0,
                                     Observable.cosine(1, 0), 5.0, grid)
+        assert counted_batches == []
 
 
 class TestChainFlowCache:
@@ -788,7 +808,8 @@ def dense_max_oscillation(h, cert, grid, delta):
     """Oracle: the largest tile-average difference over all class pairs
     closer than delta, from full ncls x ncls tables."""
     hd = tile_average(h, cert, grid)
-    cls, ncls = grid.tile_classes(cert)
+    cls, rows = grid.tile_classes(cert)
+    ncls = rows.shape[0]
     class_vals = np.empty(ncls)
     class_vals[cls] = hd.values
     my = grid.m // cert.q
