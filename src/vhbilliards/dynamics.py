@@ -20,12 +20,14 @@ those sides too: a side that a point leaves with outward velocity always
 faces the ray.  Ties go to the vertical group, then to the lower side index.
 
 Events are found on two paths that share this rule, the corner policy and
-``EPS_CORNER``:
+one corner rule: a hit within ``EPS_CORNER`` of an end of its side is a
+corner hit, snapped to that end.  Every vertex is the shared end of one
+vertical and one horizontal side, so the snapped point is the vertex.
 
 * :func:`next_event` serves one point (:func:`flow`, :func:`orbit`).  One
   scan over the faced groups both rejects stalled starts and finds the
   earliest hit; a corner hit comes back as data (the vertex index), and the
-  caller reads the vertex's convexity off the side view.
+  scalar loop reads the vertex's convexity off ``SideTable.convex_of``.
 * :class:`FlowBatch` serves arrays of points (the correlation sweeps) with a
   numpy kernel whose fixed cost per call dominates on a single point.  The
   kernel works on L2-sized blocks of points; :class:`FlowBatch` states the
@@ -114,12 +116,6 @@ class DirectionState:
     def velocity(self) -> tuple[float, float]:
         return (self.sx * math.cos(self.theta), self.sy * math.sin(self.theta))
 
-    def flip_x(self) -> "DirectionState":
-        return DirectionState(self.theta, -self.sx, self.sy)
-
-    def flip_y(self) -> "DirectionState":
-        return DirectionState(self.theta, self.sx, -self.sy)
-
     def flip_both(self) -> "DirectionState":
         return DirectionState(self.theta, -self.sx, -self.sy)
 
@@ -153,38 +149,35 @@ class SideTable:
     holds no reference back to the table.
 
     Sides and vertices keep the numbering of ``table.boundary``: the outer
-    loop first, then each hole loop.  ``vertex_convex[v]`` refers to the
-    table-interior angle (holes contribute reversed turns).  ``groups`` maps
-    ``(axis, inward normal sign)`` to those sides, in side order, as
-    Python-float rows ``(coord, lo - EPS_CORNER, hi + EPS_CORNER, side)``:
-    the layout every side scan reads (the faced-sides rule of the module
-    docstring).  The ``*_of`` tuples repeat the arrays as Python values for
-    the scalar loop, which reads one entry per event: ``ends_of[s]`` is
-    ``((lo, lo_vertex), (hi, hi_vertex))``, ``point_of[v]`` is ``(x, y)``.
+    loop first, then each hole loop.  A corner is its side's end, so the
+    view holds no vertex coordinates.  The convexity of the table-interior
+    angle (holes contribute reversed turns) is kept per side end for the
+    kernel (``lo_convex``, ``hi_convex``) and per vertex for the scalar loop
+    (``convex_of``).  ``groups`` maps ``(axis, inward normal sign)`` to the
+    sides, in side order, as Python-float rows ``(coord, lo - EPS_CORNER,
+    hi + EPS_CORNER, side)``: the layout every side scan reads (the
+    faced-sides rule of the module docstring).  The ``*_of`` tuples are
+    Python values for the scalar loop, which reads one entry per event:
+    ``ends_of[s]`` is ``((lo, lo_vertex), (hi, hi_vertex))``.
     """
 
     axis: np.ndarray          # (S,) 0 = vertical, 1 = horizontal
     coord: np.ndarray         # (S,) line coordinate
     lo: np.ndarray            # (S,) span of the cross coordinate
     hi: np.ndarray
-    lo_vertex: np.ndarray     # (S,) global vertex index at the low end
-    hi_vertex: np.ndarray
-    vertex_x: np.ndarray      # (V,)
-    vertex_y: np.ndarray
-    vertex_convex: np.ndarray  # (V,) bool
+    lo_convex: np.ndarray     # (S,) bool: the vertex at lo is convex
+    hi_convex: np.ndarray
     groups: dict[tuple[int, int], list[tuple[float, float, float, int]]]
     axis_of: tuple[int, ...]
     ends_of: tuple[tuple[tuple[float, int], tuple[float, int]], ...]
-    point_of: tuple[tuple[float, float], ...]
     convex_of: tuple[bool, ...]
 
 
 def prepare_sides(table: VHTable) -> SideTable:
-    """A new float view of ``table.boundary``; :func:`sides_of` keeps one
-    per table."""
+    """A new float view of ``table.boundary``, with convexity read off at
+    each side's ends; :func:`sides_of` keeps one per table."""
     b = table.boundary
     axis, line, lo, hi, lo_v, hi_v, inward, _ = zip(*b.sides)
-    vx, vy = zip(*b.vertices)
     coord, lo, hi = (np.array(a, dtype=np.float64) for a in (line, lo, hi))
     groups = {(a, sign): [] for a in (0, 1) for sign in (-1, 1)}
     for s, (a, c, low, high, sign) in enumerate(zip(
@@ -195,15 +188,11 @@ def prepare_sides(table: VHTable) -> SideTable:
         coord=coord,
         lo=lo,
         hi=hi,
-        lo_vertex=np.array(lo_v, dtype=np.int64),
-        hi_vertex=np.array(hi_v, dtype=np.int64),
-        vertex_x=np.array(vx, dtype=np.float64),
-        vertex_y=np.array(vy, dtype=np.float64),
-        vertex_convex=np.array(b.convex, dtype=bool),
+        lo_convex=np.array([b.convex[v] for v in lo_v], dtype=bool),
+        hi_convex=np.array([b.convex[v] for v in hi_v], dtype=bool),
         groups=groups,
         axis_of=tuple(axis),
         ends_of=tuple(zip(zip(lo.tolist(), lo_v), zip(hi.tolist(), hi_v))),
-        point_of=tuple((float(x), float(y)) for x, y in b.vertices),
         convex_of=b.convex,
     )
 
@@ -236,10 +225,11 @@ def next_event(table: VHTable | SideTable, state: PhasePoint
 
     Returns ``((x, y), side_id, time, vertex)``.  ``vertex`` is ``None`` for
     a plain hit, re-projected onto the exact side line; when the hit lands
-    within ``EPS_CORNER`` of a vertex it is that vertex's index (its
-    convexity is ``vertex_convex[vertex]`` of the table's side view) and the
-    hit point is the vertex itself.  Raises :class:`StalledState` for an
-    axis-parallel velocity or a start on a side with outward velocity.
+    within ``EPS_CORNER`` of an end of its side it is the index of the
+    vertex there (its convexity is ``convex_of[vertex]`` of the table's side
+    view) and the hit point is that end, which is the vertex exactly.
+    Raises :class:`StalledState` for an axis-parallel velocity or a start on
+    a side with outward velocity.
 
     One scan over the faced sides (module docstring) does both jobs: the
     stalled-start test and the earliest strictly-positive hit.  A point
@@ -275,12 +265,14 @@ def next_event(table: VHTable | SideTable, state: PhasePoint
         raise SingularOrbit("ray found no boundary ahead; state is outside "
                             "the table or numerically lost")
     a, (c, _, _, s), cross = best
+    vertex = None
     for end, vert in sides.ends_of[s]:
         if abs(cross - end) <= EPS_CORNER:
-            return sides.point_of[vert], s, best_t, vert
+            cross, vertex = end, vert
+            break
     # c is the row's float, shared by every hit on this side
     hit = (c, cross) if a == 0 else (cross, c)
-    return hit, s, best_t, None
+    return hit, s, best_t, vertex
 
 
 @dataclass(slots=True)
@@ -433,14 +425,15 @@ class FlowBatch:
     Points advance to synchronized absolute times via :meth:`advance_to`.
     Orbits that reach a reflex corner are frozen and flagged in
     ``singular`` rather than raised, so quadrature callers can drop them and
-    renormalize; a point past ``MAX_EVENTS`` events raises
-    :class:`EventBudgetExceeded`.  All operations are elementwise or
-    per-point reductions, so results are bitwise independent of how points
-    are grouped into batches or blocks.
+    renormalize; a point that reaches a convex corner lands on the end of
+    the side it hit, whose convexity the kernel reads per side end.  A
+    point past ``MAX_EVENTS`` events raises :class:`EventBudgetExceeded`.
+    All operations are elementwise or per-point reductions, so results are
+    bitwise independent of how points are grouped into batches or blocks.
 
     The kernel works on blocks of ``_BLOCK_POINTS`` points.  Its
     temporaries live in buffers of one block, allocated with the batch and
-    written in place (about 1.5 MiB, inside L2), so the rounds of
+    written in place (about 1.4 MiB, inside L2), so the rounds of
     :meth:`advance_to` allocate nothing per block, and its extra memory is
     8 bytes per point for the indices of the points due, whatever the side
     count.  A point tests only the sides it faces (module docstring), so a
@@ -539,8 +532,7 @@ class FlowBatch:
         s = self.sides
         w = self._work
         k = idx.shape[0]
-        side, events, vid, other = (a[:k] for a in (w.side, w.events,
-                                                    w.vid, w.other))
+        side, events = w.side[:k], w.events[:k]
         t, vx, vy, hx, hy, dt, line, cross = (a[:k] for a in (
             w.t, w.vx, w.vy, w.hx, w.hy, w.dt, w.line, w.cross))
         vert, horiz, at_lo, corner, off_corner = (a[:k] for a in (
@@ -571,16 +563,17 @@ class FlowBatch:
                       EPS_CORNER, out=corner)
         corner |= at_lo
         if corner.any():
-            # convex corners flip both components and land exactly on the
-            # vertex; reflex ones freeze the point
-            take(s.hi_vertex, side, vid)
-            np.copyto(vid, take(s.lo_vertex, side, other), where=at_lo)
-            np.logical_and(corner, take(s.vertex_convex, vid, convex),
-                           out=convex)
+            # convex: snap to the side's end and flip both; reflex: freeze
+            take(s.hi, side, line)
+            np.copyto(line, take(s.lo, side, dt), where=at_lo)
+            take(s.hi_convex, side, convex)
+            np.copyto(convex, take(s.lo_convex, side, reflex), where=at_lo)
+            convex &= corner
             np.logical_and(corner, np.logical_not(convex, out=reflex),
                            out=reflex)
-            np.copyto(hx, take(s.vertex_x, vid, line), where=convex)
-            np.copyto(hy, take(s.vertex_y, vid, line), where=convex)
+            np.copyto(cross, line, where=convex)
+            np.copyto(hx, cross, where=horiz)
+            np.copyto(hy, cross, where=vert)
             np.logical_not(corner, out=off_corner)
             np.logical_and(vert, off_corner, out=flip_x)
             np.logical_and(horiz, off_corner, out=flip_y)
@@ -627,8 +620,7 @@ class _Workspace:
 
     FLOATS = ("t", "vx", "vy", "hx", "hy", "dt", "line", "cross",
               "tv", "th", "at", "at_cross", "bound")
-    INTS = ("idx", "side", "events", "vid", "other", "sv", "sh", "lane",
-            "at_side")
+    INTS = ("idx", "side", "events", "sv", "sh", "lane", "at_side")
     BOOLS = ("vert", "horiz", "at_lo", "corner", "off_corner", "convex",
              "reflex", "flip_x", "flip_y", "still", "use_v", "finite",
              "ahead", "hit", "ok")

@@ -169,16 +169,16 @@ def parse_word(text: str | Iterable[str]) -> CombinatoricsWord:
 # ---------------------------------------------------------------------------
 
 def _to_fraction(value) -> Fraction:
+    """``value`` as an exact rational, a float as its exact binary value;
+    anything else is a :class:`ConfigError` naming it."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        # exact binary value; callers wanting decimal semantics pass strings
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if isinstance(value, (int, str, float)):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"cannot interpret {value!r} as an exact rational")
 
 
 @dataclass(frozen=True)

@@ -462,10 +462,11 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     fixed, so a value at t depends only on theta, t and the grid, not on
     the other grid times, the chunking of directions across workers or the
     other observables sharing the flow.  Every flow has the ``MAX_EVENTS``
-    budget per point.  Before any work, a theta outside
-    (0, pi/2) raises :class:`DegenerateDirection`, as it does for
-    :func:`dynamics.orbit`, and a time grid that is not finite, nonnegative
-    and strictly increasing raises :class:`ConfigError`.
+    budget per point.  Before any work, a theta outside (0, pi/2) raises
+    :class:`DegenerateDirection`, as it does for :func:`dynamics.orbit`, a
+    time grid that is not finite, nonnegative and strictly increasing
+    raises :class:`ConfigError`, and a :class:`SampledObservable`, which
+    has no values at flowed points, raises :class:`GridMismatch`.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     t_grid = np.asarray(t_grid, dtype=np.float64)
@@ -476,6 +477,8 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
         raise ConfigError("time grid must be finite, strictly increasing "
                           "and >= 0")
     hs = list(hs)
+    if any(isinstance(h, SampledObservable) for h in hs):
+        raise GridMismatch("a sampled observable cannot be flowed")
     h0s = [grid.evaluate(h) for h in hs]
 
     npts = grid.npts
@@ -591,8 +594,9 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
 
     ``grid`` must belong to ``table`` (:class:`GridMismatch` otherwise).
     Before any work, a ``theta`` outside (0, pi/2) raises
-    :class:`DegenerateDirection` and a ``t`` outside [0, inf) raises
-    :class:`ConfigError`.  Flows use the ``MAX_EVENTS`` budget.
+    :class:`DegenerateDirection`, and a ``t`` outside [0, inf) or an ``h``
+    that is not an :class:`Observable` raises :class:`ConfigError`.  Flows
+    use the ``MAX_EVENTS`` budget.
     The flow does not depend on ``h``, so the grid keeps the flowed points
     of one direction, keyed by ``theta`` alone: calls that repeat ``theta``
     and ``t`` on one grid flow once and read the kept state, whatever their
@@ -602,7 +606,7 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     stays byte-identical to a cold call on a fresh grid; an earlier time
     flows a new batch from 0.  A new ``theta`` drops the kept batch and
     states, and a flow that raises drops the batch.  The batch costs
-    81 bytes per point plus its kernel workspace (at most 1.5 MiB),
+    81 bytes per point plus its kernel workspace (about 1.4 MiB),
     and is kept only while the direction's points fit in
     ``BATCH_POINT_LIMIT``.
     Each kept time costs 17 bytes per point, and a time that would take the
@@ -615,6 +619,8 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     if not 0 <= t < math.inf:
         raise ConfigError(f"chain check time must be finite and "
                           f"nonnegative, got {t}")
+    if not isinstance(h, Observable):
+        raise ConfigError(f"h must be an Observable, not {type(h).__name__}")
     _check_grid_table(table, grid)
     h_vals = grid.evaluate(h)
     hd = tile_average(SampledObservable(grid, h_vals), cert, grid)

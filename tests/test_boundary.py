@@ -8,6 +8,7 @@ agree with both, and the exception messages of rejected polygons and holes
 are pinned.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -43,23 +44,21 @@ _INWARD = {
 
 def walked_side_arrays(table):
     """SideTable arrays from a direct walk of the table's loops, with ends
-    ordered on their float values, and its ``groups``: each side under the
-    (axis, sign) of its inward normal, in side order, with its span widened
-    by ``EPS_CORNER``."""
-    cols = {k: [] for k in ("axis", "coord", "lo", "hi", "lo_vertex",
-                            "hi_vertex", "vertex_x", "vertex_y",
-                            "vertex_convex")}
+    ordered on their float values and the convexity of the vertex at each
+    end; its ``groups``: each side under the (axis, sign) of its inward
+    normal, in side order, with its span widened by ``EPS_CORNER``; and its
+    ``ends_of`` and ``convex_of`` tuples."""
+    cols = {k: [] for k in ("axis", "coord", "lo", "hi", "lo_convex",
+                            "hi_convex")}
     groups = {(a, sign): [] for a in (0, 1) for sign in (-1, 1)}
-    offset = 0
+    ends, convex = [], []
     for verts, letters, is_hole in walked_loops(table):
         n = len(verts)
+        offset = len(convex)
         for i in range(n):
-            cols["vertex_x"].append(float(verts[i][0]))
-            cols["vertex_y"].append(float(verts[i][1]))
             pdx, pdy = _STEP[letters[i - 1]]
             cdx, cdy = _STEP[letters[i]]
-            cols["vertex_convex"].append((pdx * cdy - pdy * cdx > 0)
-                                         != is_hole)
+            convex.append((pdx * cdy - pdy * cdx > 0) != is_hole)
         for i in range(n):
             a, b = verts[i], verts[(i + 1) % n]
             ix, iy = _INWARD[(is_hole, letters[i])]
@@ -72,15 +71,15 @@ def walked_side_arrays(table):
                 ea, eb, ia, ib = eb, ea, ib, ia
             cols["lo"].append(ea)
             cols["hi"].append(eb)
-            cols["lo_vertex"].append(ia)
-            cols["hi_vertex"].append(ib)
+            cols["lo_convex"].append(convex[ia])
+            cols["hi_convex"].append(convex[ib])
+            ends.append(((ea, ia), (eb, ib)))
             groups[axis, ix + iy].append((float(a[axis]), ea - EPS_CORNER,
                                           eb + EPS_CORNER, offset + i))
-        offset += n
-    dtypes = {"axis": np.int8, "lo_vertex": np.int64, "hi_vertex": np.int64,
-              "vertex_convex": bool}
-    return {k: np.array(v, dtype=dtypes.get(k, np.float64))
-            for k, v in cols.items()}, groups
+    dtypes = {"axis": np.int8, "lo_convex": bool, "hi_convex": bool}
+    arrays = {k: np.array(v, dtype=dtypes.get(k, np.float64))
+              for k, v in cols.items()}
+    return arrays, groups, tuple(ends), tuple(convex)
 
 
 def segments_intersect(a, b):
@@ -123,12 +122,18 @@ class TestBoundaryModel:
         table = random_table(np.random.default_rng(seed),
                              hole_probability=0.6)
         sides = prepare_sides(table)
-        arrays, groups = walked_side_arrays(table)
+        arrays, groups, ends, convex = walked_side_arrays(table)
         for name, want in arrays.items():
             got = getattr(sides, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         assert sides.groups == groups
+        assert sides.ends_of == ends
+        assert sides.convex_of == convex
+        assert sides.axis_of == tuple(arrays["axis"].tolist())
+        # the walk covers every field of the view
+        assert {f.name for f in fields(sides)} == set(arrays) | {
+            "groups", "ends_of", "convex_of", "axis_of"}
 
     def test_holed_table_model(self, holed_table):
         b = holed_table.boundary

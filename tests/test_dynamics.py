@@ -115,11 +115,13 @@ def all_sides_next_event(table, state):
                 best_t, best_side, best_cross = t, s, cross
     if best_side < 0:
         raise SingularOrbit("no boundary ahead")
-    for vert, end in ((sides.lo_vertex[best_side], sides.lo[best_side]),
-                      (sides.hi_vertex[best_side], sides.hi[best_side])):
+    # the vertex and its position come from the exact boundary model
+    b = table.boundary
+    exact = b.sides[best_side]
+    for vert, end in ((exact.lo_vertex, sides.lo[best_side]),
+                      (exact.hi_vertex, sides.hi[best_side])):
         if abs(best_cross - end) <= EPS_CORNER:
-            vert = int(vert)
-            return ((float(sides.vertex_x[vert]), float(sides.vertex_y[vert])),
+            return (tuple(float(c) for c in b.vertices[vert]),
                     best_side, best_t, vert)
     a, _, c, _, _, _ = rows[best_side]
     hit = (c, best_cross) if a == 0 else (best_cross, c)
@@ -214,7 +216,7 @@ class TestNextEvent:
         point, _, t, vertex = next_event(square, state)
         assert point == (2.0, 2.0)
         assert abs(t - math.sqrt(0.5)) < 1e-12
-        assert prepare_sides(square).vertex_convex[vertex]
+        assert square.boundary.convex[vertex]
 
     def test_lshape_matches_brute_force(self, lshape_table):
         state = PhasePoint(1.5, 1.5, DirectionState(math.pi / 3))
@@ -267,6 +269,7 @@ class TestFacedSides:
         rng = np.random.default_rng(seed)
         table = random_table(rng, hole_probability=0.6)
         sides = sides_of(table)
+        b = table.boundary
         for state in next_event_starts(table, rng):
             try:
                 want = all_sides_next_event(table, state)
@@ -277,12 +280,12 @@ class TestFacedSides:
             got = next_event(table, state)
             point, side, t, vertex = got
             if vertex is not None and side != want[1]:
-                assert vertex in (sides.lo_vertex[side],
-                                  sides.hi_vertex[side])
+                assert vertex in (b.sides[side].lo_vertex,
+                                  b.sides[side].hi_vertex)
                 a = int(sides.axis[side])
                 gap = float(sides.coord[side]) - (state.x, state.y)[a]
                 assert t == gap / state.direction.velocity[a]
-                if sides.vertex_convex[vertex]:
+                if b.convex[vertex]:
                     assert t == want[2]
                 got = (point, want[1], want[2], vertex)
             assert got == want
@@ -297,8 +300,8 @@ class TestFacedSides:
         state = PhasePoint(x, 1.5, SimpleNamespace(velocity=velocity))
         point, side, t, vertex = next_event(square, state)
         assert (side, t) == (vertical, 1.0)
-        assert vertex in (sides_of(square).lo_vertex[horizontal],
-                          sides_of(square).hi_vertex[horizontal])
+        assert vertex in (square.boundary.sides[horizontal].lo_vertex,
+                          square.boundary.sides[horizontal].hi_vertex)
         batch = FlowBatch(square, [x], [1.5], [velocity[0]], [velocity[1]])
         assert (batch.next_side[0], batch.next_t[0]) == (vertical, 1.0)
 
@@ -634,8 +637,7 @@ class TestOrbitRecords:
 
         rng = np.random.default_rng(seed)
         table = random_table(rng, hole_probability=0.6)
-        sides = sides_of(table)
-        vertices = set(zip(sides.vertex_x.tolist(), sides.vertex_y.tolist()))
+        vertices = {(float(x), float(y)) for x, y in table.boundary.vertices}
         try:
             grid = build_grid(table, m)
         except UnalignedGrid:
@@ -680,10 +682,11 @@ class TestOrbitRecords:
 
 def reference_advance(table, state, t, max_events, record):
     """The scalar loop as it stood with a new label per reflection: one
-    ``next_event`` per event and a ``DirectionState`` flip per reflection,
-    reading the side view's arrays.  Appends each event's row to
-    ``record``."""
+    ``next_event`` per event and a new ``DirectionState`` per reflection,
+    reading convexity off the exact boundary model.  Appends each event's
+    row to ``record``."""
     sides = sides_of(table)
+    convex = table.boundary.convex
     x, y = state.x, state.y
     d = state.direction
     elapsed = 0.0
@@ -693,7 +696,7 @@ def reference_advance(table, state, t, max_events, record):
         if remaining <= 0:
             break
         hit, s, dt, vertex = next_event(sides, PhasePoint(x, y, d))
-        if (vertex is not None and not sides.vertex_convex[vertex]
+        if (vertex is not None and not convex[vertex]
                 and dt <= remaining):
             raise SingularOrbit(f"orbit reaches reflex vertex {vertex}")
         if dt > remaining:
@@ -706,9 +709,9 @@ def reference_advance(table, state, t, max_events, record):
             d = d.flip_both()
             s = -1
         elif sides.axis[s]:
-            d = d.flip_y()
+            d = DirectionState(d.theta, d.sx, -d.sy)
         else:
-            d = d.flip_x()
+            d = DirectionState(d.theta, -d.sx, d.sy)
         elapsed += dt
         events += 1
         record.append((elapsed, x, y, s, d.sx, d.sy))
@@ -977,7 +980,8 @@ class TestExports:
                       (7.0, 1.25, 5e-324, 0, 1, -1))]
         hist = OrbitSegmentList(
             table=square, initial=PhasePoint(f(1.5), f(1.25), d),
-            events=events, final=PhasePoint(f(0.5), f(2.0), d.flip_y()),
+            events=events, final=PhasePoint(
+                f(0.5), f(2.0), DirectionState(d.theta, d.sx, -d.sy)),
             total_time=f(9.5))
         path = tmp_path / "orbit.csv"
         orbit_to_csv(hist, path)
@@ -1013,4 +1017,4 @@ def test_eps_corner_band(square):
     state = PhasePoint(1.5, 1.5, DirectionState(theta))
     point, _, _, vertex = next_event(square, state)
     assert point == (2.0, 2.0)
-    assert prepare_sides(square).vertex_convex[vertex]
+    assert square.boundary.convex[vertex]

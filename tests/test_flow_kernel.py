@@ -33,10 +33,18 @@ FLOWED = STATE + ("x_at", "y_at")
 
 
 class AllSidesBatch:
-    """The batch kernel before side groups and blocks."""
+    """The batch kernel before side groups and blocks.  A corner is the
+    vertex at the side's end, read with its convexity off the table's exact
+    boundary model."""
 
-    def __init__(self, sides, x, y, vx, vy):
-        self.sides = sides
+    def __init__(self, table, x, y, vx, vy):
+        self.sides = sides = sides_of(table)
+        b = table.boundary
+        self.lo_vertex = np.array([s.lo_vertex for s in b.sides])
+        self.hi_vertex = np.array([s.hi_vertex for s in b.sides])
+        self.vertex_x, self.vertex_y = (
+            np.array([float(v[k]) for v in b.vertices]) for k in (0, 1))
+        self.vertex_convex = np.array(b.convex)
         self.v_idx = np.nonzero(sides.axis == 0)[0]
         self.h_idx = np.nonzero(sides.axis == 1)[0]
         self.x = np.array(x, dtype=np.float64)
@@ -110,14 +118,14 @@ class AllSidesBatch:
         at_lo = np.abs(cross - s.lo[side]) <= EPS_CORNER
         at_hi = np.abs(cross - s.hi[side]) <= EPS_CORNER
         corner = at_lo | at_hi
-        vid = np.where(at_lo, s.lo_vertex[side], s.hi_vertex[side])
+        vid = np.where(at_lo, self.lo_vertex[side], self.hi_vertex[side])
 
-        reflex = corner & ~s.vertex_convex[vid]
+        reflex = corner & ~self.vertex_convex[vid]
         plain = ~corner
         convex = corner & ~reflex
 
-        self.x[idx] = np.where(convex, s.vertex_x[vid], hx)
-        self.y[idx] = np.where(convex, s.vertex_y[vid], hy)
+        self.x[idx] = np.where(convex, self.vertex_x[vid], hx)
+        self.y[idx] = np.where(convex, self.vertex_y[vid], hy)
         flip_x = (plain & vert) | convex
         flip_y = (plain & ~vert) | convex
         self.vx[idx] = np.where(flip_x, -self.vx[idx], self.vx[idx])
@@ -165,7 +173,7 @@ class TestAllSidesOracle:
     @settings(max_examples=100, deadline=None)
     def test_live_points_match_bit_for_bit(self, seed, thetas):
         table, inputs = random_case(seed, thetas)
-        oracle = AllSidesBatch(sides_of(table), *inputs)
+        oracle = AllSidesBatch(table, *inputs)
         for t, got in zip(TIMES, flowed_states(table, inputs)):
             want = {k: getattr(oracle, k) for k in STATE}
             want["x_at"], want["y_at"] = oracle.advance_to(t)
@@ -188,7 +196,7 @@ class TestAllSidesOracle:
         inputs = [np.array([1.5]), np.array([1.5]), np.array([1.0]),
                   np.array([0.5])]
         batch = FlowBatch(square, *inputs)
-        oracle = AllSidesBatch(sides_of(square), *inputs)
+        oracle = AllSidesBatch(square, *inputs)
         for t, events in ((1.0, 2), (1.5, 3)):
             got = batch.advance_to(t)
             want = oracle.advance_to(t)

@@ -6,6 +6,7 @@ soundness, and a float ray-caster for containment.
 """
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from vhbilliards.dynamics import sides_of
 from vhbilliards.errors import (
     BadAlphabet,
     ClosureViolated,
+    ConfigError,
     DegenerateWord,
     EtaTooSmall,
     HolePlacement,
@@ -250,6 +252,30 @@ class TestBuildPolygon:
             sums[ch] += ln
         assert sums["E"] == sums["W"] and sums["N"] == sums["S"]
         assert poly.area == e * n
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("value, call", [
+    (_INF, lambda v: build_polygon("ENWS", [v, 1, v, 1])),
+    ("x", lambda v: build_polygon("ENWS", [v, 1, v, 1])),
+    ("1/0", lambda v: build_polygon("ENWS", [v, 1, v, 1])),
+    (None, lambda v: build_polygon("ENWS", [v, 1, v, 1])),
+    (np.int64(1), lambda v: build_polygon("ENWS", [v, 1, v, 1])),
+    (_NAN, lambda v: build_table(lshape().outer, [(
+        build_polygon("ENWS", ["1/2"] * 4), (v, "5/4"))])),
+    (_INF, lambda v: approximate_pq(lshape(), 5, v)),
+    (_INF, lambda v: contains_point(lshape(), (v, 1.5))),
+    (_NAN, lambda v: contains_point(lshape(), (1.5, v))),
+], ids=["length-inf", "length-word", "length-over-zero", "length-none",
+        "length-numpy-int", "anchor-nan", "eta-inf", "point-x-inf",
+        "point-y-nan"])
+def test_inexact_rational_is_a_config_error(value, call):
+    # lengths, hole anchors, eta and query points are read as exact
+    # rationals; a value that is none is named in a ConfigError
+    with pytest.raises(ConfigError, match=re.escape(repr(value))):
+        call(value)
 
 
 # ---------------------------------------------------------------------------

@@ -161,14 +161,24 @@ class TestGrid:
         with pytest.raises(GridMismatch):
             inner(sampled, chi(lshape_grid), lshape_grid)
 
-    def test_sampled_observable_off_its_grid(self, square_grid):
+    def test_sampled_observable_off_its_grid(self, square_grid,
+                                             counted_batches):
         # a sampled observable has values only at its grid points, so the
-        # flowed factor of a correlation raises instead of reading them
+        # flowed factor of a correlation raises, before any flow, instead
+        # of reading them; the chain check takes only trigonometric sums
         h = chi(square_grid)
         with pytest.raises(GridMismatch):
             sweep_correlations(square_grid, [1.0], [h], [0.5])
         with pytest.raises(GridMismatch):
             correlation(square_grid.table, 1.0, h, [0.5], grid=square_grid)
+        table = square_grid.table
+        cert = tiling_parameters(table)
+        for bad in (h, TileAverageObservable(Observable.cosine(1, 0), table,
+                                             cert)):
+            with pytest.raises(ConfigError):
+                correlation_chain_check(table, cert, 1.0, bad, 2.0,
+                                        square_grid)
+        assert counted_batches == []
 
     def test_correlation_rejects_another_tables_grid(self, square_grid):
         h = Observable.cosine(1, 0)
