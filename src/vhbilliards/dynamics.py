@@ -431,6 +431,10 @@ class FlowBatch:
     All operations are elementwise or per-point reductions, so results are
     bitwise independent of how points are grouped into batches or blocks.
 
+    It copies ``x``, ``y``, ``vx`` and ``vy`` (1-D, of one length) and takes
+    82 bytes per point; its eight float64 rows are one ``(8, n)`` block,
+    which numpy backs with huge pages from 65,536 points (4 MiB) on.
+
     The kernel works on blocks of ``_BLOCK_POINTS`` points.  Its
     temporaries live in buffers of one block, allocated with the batch and
     written in place (about 1.4 MiB, inside L2), so the rounds of
@@ -446,29 +450,31 @@ class FlowBatch:
     the batch's latest one, ``target`` (0 at the start), or the call raises
     ``ConfigError``.  A call applies every event up to its target, leaves
     each point at its last event (``x``, ``y`` and ``t`` are that event's)
-    and returns the positions at the target, written into one pair of
-    float64 arrays allocated with the batch (16 bytes per point) and
-    overwritten by the next call.  The move to the target is the only step
-    that depends on where a jump ends, and every other step is elementwise,
-    so every call returns what one jump from 0 would.
+    and returns the positions at the target, written into the block's last
+    two rows and overwritten by the next call.  The move to the target is
+    the only step that depends on where a jump ends, and every other step
+    is elementwise, so every call returns what one jump from 0 would.
     """
 
     def __init__(self, table: VHTable | SideTable,
                  x: np.ndarray, y: np.ndarray,
                  vx: np.ndarray, vy: np.ndarray):
         self.sides = sides_of(table)
-        self.x = np.array(x, dtype=np.float64)
-        self.y = np.array(y, dtype=np.float64)
-        self.vx = np.array(vx, dtype=np.float64)
-        self.vy = np.array(vy, dtype=np.float64)
-        n = self.x.shape[0]
-        self.t = np.zeros(n)
+        given = [np.asarray(a, dtype=np.float64) for a in (x, y, vx, vy)]
+        if given[0].ndim != 1 or len({a.shape for a in given}) != 1:
+            raise ConfigError("x, y, vx and vy must be 1-D and of one length, "
+                              f"got shapes {[a.shape for a in given]}")
+        n = given[0].size
+        rows = np.empty((8, n))
+        self.x, self.y, self.vx, self.vy, self.t, self.next_t = rows[:6]
+        self._at_target = tuple(rows[6:])
+        for row, a in zip(rows, given + [0.0]):  # t starts at 0
+            row[...] = a
         self.singular = np.zeros(n, dtype=bool)
+        self._due = np.empty(n, dtype=bool)
         self.events = np.zeros(n, dtype=np.int64)
         self.target = 0.0
-        self.next_t = np.empty(n)
         self.next_side = np.empty(n, dtype=np.int64)
-        self._at_target = (np.empty(n), np.empty(n))
         g = self.sides.groups
         self._columns = (_column_pairs(g[0, -1], g[0, 1]),
                          _column_pairs(g[1, -1], g[1, 1]))
@@ -507,7 +513,10 @@ class FlowBatch:
         self.target = t_target
         # the points due by t_target, found once; each round compacts the
         # points still due to the front of the same array, in order
-        due = np.flatnonzero((self.next_t <= t_target) & ~self.singular)
+        due = np.less_equal(self.next_t, t_target, out=self._due)
+        if self.singular.any():
+            due &= ~self.singular
+        due = np.flatnonzero(due)
         count = due.size
         while count:
             kept = 0
@@ -519,7 +528,8 @@ class FlowBatch:
         x_at, y_at = self._at_target
         # y_at holds the step lengths until the last line
         dt = np.subtract(t_target, self.t, out=y_at)
-        np.copyto(dt, 0.0, where=self.singular)
+        if self.singular.any():
+            np.copyto(dt, 0.0, where=self.singular)
         np.add(self.x, np.multiply(self.vx, dt, out=x_at), out=x_at)
         np.add(self.y, np.multiply(self.vy, dt, out=y_at), out=y_at)
         return self._at_target

@@ -31,6 +31,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -169,11 +170,11 @@ def parse_word(text: str | Iterable[str]) -> CombinatoricsWord:
 # ---------------------------------------------------------------------------
 
 def _to_fraction(value) -> Fraction:
-    """``value`` as an exact rational, a float as its exact binary value;
-    anything else is a :class:`ConfigError` naming it."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str, float)):
+    """``value`` as a Fraction of ints: any ``numbers.Rational`` (numpy ints
+    too), a string, or a float's exact binary value; else a ConfigError."""
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
+    if isinstance(value, (str, float)):
         try:
             return Fraction(value)
         except (ValueError, OverflowError, ZeroDivisionError):

@@ -58,31 +58,37 @@ def _eval_trig(coeffs: Sequence[tuple[int, int, complex]],
                width: float, height: float) -> np.ndarray:
     """Real part of a Hermitian trigonometric sum, via one rep per +/- pair.
 
-    Each term's phase and its cosine or sine are written into two scratch
-    arrays, then scaled and summed in place, so a term allocates nothing.
+    The sum starts at 0.0 and adds each scaled wave, computed from its own
+    phase: the first in the output array, later ones in one scratch array.
     """
-    out = np.zeros_like(np.asarray(xs, dtype=np.float64))
-    phase, wave = np.empty_like(out), np.empty_like(out)
+    out = wave = None
     for kx, ky, c in coeffs:
-        if kx == 0 and ky == 0:
-            out += c.real
-            continue
         if (kx, ky) < (-kx, -ky):
             continue  # handled through its mirror partner
-        if kx:
-            np.multiply(2.0 * math.pi * kx / width, xs, out=phase)
-            if ky:
-                phase += np.multiply(2.0 * math.pi * ky / height, ys,
-                                     out=wave)
-        else:
-            np.multiply(2.0 * math.pi * ky / height, ys, out=phase)
-        if c.real:
-            out += np.multiply(np.cos(phase, out=wave), 2.0 * c.real,
-                               out=wave)
-        if c.imag:
-            out += np.multiply(np.sin(phase, out=wave), -2.0 * c.imag,
-                               out=wave)
-    return out
+        for f, s in (((np.cos, 2.0 * c.real), (np.sin, -2.0 * c.imag))
+                     if kx or ky else ((None, c.real),)):
+            if not s:
+                continue
+            buf = np.empty_like(xs) if wave is None else wave
+            if f is None:
+                buf.fill(s)
+            else:
+                if kx:
+                    np.multiply(2.0 * math.pi * kx / width, xs, out=buf)
+                    if ky:
+                        buf += 2.0 * math.pi * ky / height * ys
+                else:
+                    np.multiply(2.0 * math.pi * ky / height, ys, out=buf)
+                f(buf, out=buf)
+                if s != 1.0:
+                    buf *= s
+            if out is None:
+                out = buf
+                out += 0.0  # as 0.0 + wave: a -0.0 wave sums to +0.0
+            else:
+                out += buf
+                wave = buf
+    return np.zeros_like(xs) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -493,20 +499,23 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
         frac = np.zeros(nb)
         for k, t_k in enumerate(t_grid):
             x, y = batch.advance_to(float(t_k))
-            alive = ~batch.singular
-            counts = alive.reshape(nb, block).sum(axis=1)
-            frac = 1.0 - counts / block
-            if np.any(frac > MAX_DROPPED_FRACTION):
-                raise TooManySingular(
-                    f"dropped quadrature mass {frac.max():.2e} exceeds "
-                    f"{MAX_DROPPED_FRACTION:.0e}")
+            alive, counts = None, block  # all weights 1 while none is frozen
+            if batch.singular.any():
+                alive = ~batch.singular
+                counts = alive.reshape(nb, block).sum(axis=1)
+                frac = 1.0 - counts / block
+                if np.any(frac > MAX_DROPPED_FRACTION):
+                    raise TooManySingular(
+                        f"dropped quadrature mass {frac.max():.2e} exceeds "
+                        f"{MAX_DROPPED_FRACTION:.0e}")
             for j, (h, h0) in enumerate(zip(hs, h0s)):
                 # in place, as (h o flow) * h0 * alive; one row per
                 # (direction, label), so h0 broadcasts along the rows
                 vals = h.evaluate(x, y, grid.width, grid.height)
                 rows = vals.reshape(4 * nb, npts)
                 rows *= h0
-                vals *= alive
+                if alive is not None:
+                    vals *= alive
                 sums = vals.reshape(nb, block).sum(axis=1)
                 c_out[j, start:start + nb, k] = sums / counts
         dropped[start:start + nb] = frac
@@ -605,10 +614,10 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
     so the direction is flowed once across all its times and every report
     stays byte-identical to a cold call on a fresh grid; an earlier time
     flows a new batch from 0.  A new ``theta`` drops the kept batch and
-    states, and a flow that raises drops the batch.  The batch costs
-    81 bytes per point plus its kernel workspace (about 1.4 MiB),
-    and is kept only while the direction's points fit in
-    ``BATCH_POINT_LIMIT``.
+    states, and a flow that raises drops the batch.  The batch costs 82
+    bytes per point, its floats in one block (huge pages from 65,536
+    points), plus its kernel workspace (about 1.4 MiB), and is kept only
+    while the direction's points fit in ``BATCH_POINT_LIMIT``.
     Each kept time costs 17 bytes per point, and a time that would take the
     kept points past ``BATCH_POINT_LIMIT`` is flowed but not kept.  All of
     it stays with the grid for its lifetime (up to about 68 MB of kept

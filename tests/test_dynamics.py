@@ -38,6 +38,7 @@ from vhbilliards.dynamics import (
     unfold_position,
 )
 from vhbilliards.errors import (
+    ConfigError,
     DegenerateDirection,
     EventBudgetExceeded,
     SingularOrbit,
@@ -821,6 +822,29 @@ class TestFlowBatch:
             p = flow(lshape_table, st, 11.5)
             assert abs(p.x - bx[i]) < 1e-10
             assert abs(p.y - by[i]) < 1e-10
+
+    @pytest.mark.parametrize("x, y, vx, vy", [
+        ([1.5, 1.2], [1.5], [0.6, 0.6], [0.8, 0.8]),
+        ([[1.5, 1.2]], [[1.5, 1.2]], [[0.6, 0.6]], [[0.8, 0.8]]),
+        (1.5, 1.5, 0.6, 0.8),
+    ], ids=["lengths", "2-d", "0-d"])
+    def test_inputs_must_be_1d_of_one_length(self, square, x, y, vx, vy):
+        with pytest.raises(ConfigError, match="shapes"):
+            FlowBatch(square, x, y, vx, vy)
+
+    def test_inputs_are_copied(self, square):
+        given = [np.array([1.3, 1.6]), np.array([1.2, 1.9]),
+                 np.array([0.6, -0.6]), np.array([0.8, 0.8])]
+        kept = [a.copy() for a in given]
+        batch = FlowBatch(square, *given)
+        batch.advance_to(3.0)
+        for a, b in zip(given, kept):
+            assert np.array_equal(a, b)
+        moved = [a.copy() for a in (batch.x, batch.y, batch.vx, batch.vy)]
+        for a in given:
+            a.fill(7.0)
+        for a, b in zip((batch.x, batch.y, batch.vx, batch.vy), moved):
+            assert np.array_equal(a, b)
 
     def test_speed_components_preserved_bitwise(self, square):
         theta = 0.777

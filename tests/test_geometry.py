@@ -262,20 +262,31 @@ _INF, _NAN = float("inf"), float("nan")
     ("x", lambda v: build_polygon("ENWS", [v, 1, v, 1])),
     ("1/0", lambda v: build_polygon("ENWS", [v, 1, v, 1])),
     (None, lambda v: build_polygon("ENWS", [v, 1, v, 1])),
-    (np.int64(1), lambda v: build_polygon("ENWS", [v, 1, v, 1])),
     (_NAN, lambda v: build_table(lshape().outer, [(
         build_polygon("ENWS", ["1/2"] * 4), (v, "5/4"))])),
     (_INF, lambda v: approximate_pq(lshape(), 5, v)),
     (_INF, lambda v: contains_point(lshape(), (v, 1.5))),
     (_NAN, lambda v: contains_point(lshape(), (1.5, v))),
 ], ids=["length-inf", "length-word", "length-over-zero", "length-none",
-        "length-numpy-int", "anchor-nan", "eta-inf", "point-x-inf",
-        "point-y-nan"])
+        "anchor-nan", "eta-inf", "point-x-inf", "point-y-nan"])
 def test_inexact_rational_is_a_config_error(value, call):
     # lengths, hole anchors, eta and query points are read as exact
     # rationals; a value that is none is named in a ConfigError
     with pytest.raises(ConfigError, match=re.escape(repr(value))):
         call(value)
+
+
+@pytest.mark.parametrize("lengths", [
+    np.array([1, 1, 1, 1]),
+    [np.int64(1), np.int32(1), np.uint8(1), 1],
+    [Fraction(1), True, "1", 1.0],
+], ids=["numpy-int-array", "numpy-int-scalars", "fraction-bool-str-float"])
+def test_exact_rationals_are_accepted(lengths):
+    # any numbers.Rational is exact, numpy integers included
+    poly = build_polygon("ENWS", lengths)
+    assert poly.lengths == (Fraction(1),) * 4
+    assert all(type(v) is Fraction and type(v.numerator) is int
+               for v in poly.lengths)
 
 
 # ---------------------------------------------------------------------------

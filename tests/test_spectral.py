@@ -6,6 +6,7 @@ hand-computed tile averages.
 """
 
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from vhbilliards.spectral import (
     Observable,
     SampledObservable,
     TileAverageObservable,
+    _eval_trig,
     aligned_m,
     basis_function,
     build_grid,
@@ -119,6 +121,104 @@ class TestObservable:
         assert basis_function(6).coeffs == Observable.cosine(1, 0).coeffs
         with pytest.raises(ValueError):
             basis_function(0)
+
+
+def three_buffer_eval_trig(coeffs, xs, ys, width, height):
+    """The evaluation before it wrote its first wave into its output: a
+    zero-filled sum plus a phase and a wave array per call."""
+    out = np.zeros_like(np.asarray(xs, dtype=np.float64))
+    phase, wave = np.empty_like(out), np.empty_like(out)
+    for kx, ky, c in coeffs:
+        if kx == 0 and ky == 0:
+            out += c.real
+            continue
+        if (kx, ky) < (-kx, -ky):
+            continue
+        if kx:
+            np.multiply(2.0 * math.pi * kx / width, xs, out=phase)
+            if ky:
+                phase += np.multiply(2.0 * math.pi * ky / height, ys,
+                                     out=wave)
+        else:
+            np.multiply(2.0 * math.pi * ky / height, ys, out=phase)
+        if c.real:
+            out += np.multiply(np.cos(phase, out=wave), 2.0 * c.real,
+                               out=wave)
+        if c.imag:
+            out += np.multiply(np.sin(phase, out=wave), -2.0 * c.imag,
+                               out=wave)
+    return out
+
+
+def random_hermitian(rng) -> Observable:
+    """1-4 terms, each a constant or a frequency pair with a real,
+    imaginary or complex amplitude; pairs with kx * ky != 0 included."""
+    coeffs = {}
+    for _ in range(rng.integers(1, 5)):
+        kx, ky = (int(k) for k in rng.integers(-3, 4, size=2))
+        a, b = rng.normal(size=2)
+        kind = rng.integers(3)
+        c = complex(a if kind != 1 else 0.0, b if kind != 0 else 0.0)
+        if kx == ky == 0:
+            c = complex(a)
+        coeffs[(kx, ky)] = c
+        coeffs[(-kx, -ky)] = c.conjugate()
+    return Observable.from_dict(coeffs)
+
+
+class TestEvalTrig:
+    """The one-buffer evaluation equals the three-buffer one bit for bit,
+    signed zeros included."""
+
+    WIDTH, HEIGHT = 2.5, 0.75
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(2024)
+        xs = np.concatenate([[0.0, -0.0, 0.0, -0.0, 1.25, -1.25],
+                             rng.uniform(-3.0, 3.0, 250)])
+        ys = np.concatenate([[0.0, 0.0, -0.0, -0.0, -0.0, 0.375],
+                             rng.uniform(-1.0, 1.0, 250)])
+        return xs, ys
+
+    def assert_same_bits(self, coeffs, xs, ys):
+        got = _eval_trig(coeffs, xs, ys, self.WIDTH, self.HEIGHT)
+        want = three_buffer_eval_trig(coeffs, xs, ys, self.WIDTH, self.HEIGHT)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), coeffs
+
+    def test_random_hermitian_sums(self, points):
+        rng = np.random.default_rng(17)
+        hs = [Observable.constant(-0.5), Observable.cosine(2, 0),
+              Observable.sine(0, 1), Observable.sine(1, -2),
+              Observable.from_dict({(1, 1): 0.3 - 0.2j, (-1, -1): 0.3 + 0.2j})]
+        hs += [random_hermitian(rng) for _ in range(300)]
+        for h in hs:
+            self.assert_same_bits(h.coeffs, *points)
+
+    def test_basis_functions(self, points):
+        for j in range(1, 30):
+            self.assert_same_bits(basis_function(j).coeffs, *points)
+
+    def test_sines_of_signed_zeros(self, points):
+        # sin(-0.0) is -0.0: a sum that starts at 0.0 turns it into +0.0
+        xs, ys = points
+        vals = Observable.sine(1, 0).evaluate(xs[:4], ys[:4], 1.0, 1.0)
+        assert np.signbit(vals).tolist() == [False] * 4
+
+    def test_one_wave_allocates_only_its_output(self):
+        n = 262_144
+        rng = np.random.default_rng(5)
+        xs, ys = rng.random(n), rng.random(n)
+        h = Observable.cosine(1, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            vals = h.evaluate(xs, ys, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (n,)
+        assert peak <= 8 * n + 64 * 1024, peak
 
 
 class TestGrid:
