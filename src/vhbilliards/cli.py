@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error (bad tables, words, configs,
-options, usage errors such as a missing or malformed flag, and unreadable or
-malformed files), 2 numerical abort (singular orbits, event budgets, dropped
-quadrature mass).  Errors are emitted as one JSON object on stderr so callers
-can parse them; any other exception is a bug and escapes with its traceback.
+Exit codes: 0 success, 1 invalid input (a ``ConfigError``: bad tables, words,
+configs, options, usage errors such as a missing or malformed flag; or an
+unreadable or malformed file), 2 numerical abort (a ``NumericalAbort``:
+singular orbits, event budgets, dropped quadrature mass).  Errors are
+emitted as one JSON object on stderr so callers can parse them; any other
+exception is a bug and escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BilliardError,
-    ConfigError,
-    EventBudgetExceeded,
-    SingularOrbit,
-    TooManySingular,
-)
+from .errors import BilliardError, ConfigError, NumericalAbort
 from .geometry import (
     PointLocation,
     _parse_rationals,
@@ -64,8 +59,6 @@ from .lab import (
     sweep_to_csv,
     theta_sweep,
 )
-
-_NUMERICAL_ERRORS = (SingularOrbit, EventBudgetExceeded, TooManySingular)
 
 _GDELTA_REQUIRED = ("word", "area_band", "q_list", "j_max", "n_list", "grid_m")
 _GDELTA_OPTIONAL = ("seed", "theta_count", "out_dir")
@@ -371,7 +364,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _NUMERICAL_ERRORS as err:
+    except NumericalAbort as err:
         return _fail(err, 2)
     # anything else is a bug and keeps its traceback
     except (BilliardError, OSError, json.JSONDecodeError) as err:

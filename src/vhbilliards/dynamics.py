@@ -460,7 +460,11 @@ class FlowBatch:
                  x: np.ndarray, y: np.ndarray,
                  vx: np.ndarray, vy: np.ndarray):
         self.sides = sides_of(table)
-        given = [np.asarray(a, dtype=np.float64) for a in (x, y, vx, vy)]
+        try:
+            given = [np.asarray(a, dtype=np.float64) for a in (x, y, vx, vy)]
+        except ValueError as exc:
+            raise ConfigError(f"x, y, vx and vy must convert to float "
+                              f"arrays: {exc}") from exc
         if given[0].ndim != 1 or len({a.shape for a in given}) != 1:
             raise ConfigError("x, y, vx and vy must be 1-D and of one length, "
                               f"got shapes {[a.shape for a in given]}")

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, by kind.
 
-Validation errors (bad words, broken closure, misplaced holes, ...) map to
-CLI exit code 1; numerical aborts (singular orbits, budget overruns, too much
-dropped quadrature mass) map to exit code 2.
+Every concrete error is a ``ConfigError`` (invalid input of any kind: bad
+words, tables, directions, grids, configs or options; also a ``ValueError``;
+CLI exit code 1) or a ``NumericalAbort`` (valid input whose computation could
+not finish: singular orbits, event budgets, too much dropped quadrature mass;
+CLI exit code 2).  Callers catch a kind, ``except ConfigError`` or ``except
+NumericalAbort``, so a new error of either kind needs no edit where caught.
 """
 
 from __future__ import annotations
@@ -12,29 +15,34 @@ class BilliardError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ConfigError(BilliardError, ValueError):
+    """Invalid input of any kind: a configuration, option, argument or file
+    field that violates an invariant.  It is also a ``ValueError``."""
+
+
+class NumericalAbort(BilliardError):
+    """Valid input whose computation could not finish."""
+
+
 # --- word / polygon construction -------------------------------------------
 
-class WordError(BilliardError):
-    """Base class for combinatorics-word problems."""
-
-
-class BadAlphabet(WordError):
+class BadAlphabet(ConfigError):
     """Word contains a character outside {E, N, W, S}."""
 
 
-class OddLength(WordError):
+class OddLength(ConfigError):
     """Word has odd length (sides must alternate horizontal/vertical)."""
 
 
-class NoAlternation(WordError):
+class NoAlternation(ConfigError):
     """Two consecutive letters lie in the same horizontal/vertical class."""
 
 
-class DegenerateWord(WordError):
+class DegenerateWord(ConfigError):
     """Word is too short or cannot bound a polygon (e.g. no east-going side)."""
 
 
-class GeometryError(BilliardError):
+class GeometryError(ConfigError):
     """Base class for polygon/table construction problems."""
 
 
@@ -64,50 +72,37 @@ class EtaTooSmall(GeometryError):
 
 # --- dynamics ----------------------------------------------------------------
 
-class DynamicsError(BilliardError):
-    """Base class for flow/orbit problems."""
-
-
-class DegenerateDirection(DynamicsError):
+class DegenerateDirection(ConfigError):
     """Direction angle outside the open interval (0, pi/2)."""
 
 
-class StalledState(DynamicsError):
+class StalledState(ConfigError):
     """Velocity is tangent to the side the point sits on, or points outward."""
 
 
-class SingularOrbit(DynamicsError):
+class SingularOrbit(NumericalAbort):
     """Orbit reaches a reflex corner; no continuous extension exists."""
 
 
-class EventBudgetExceeded(DynamicsError):
+class EventBudgetExceeded(NumericalAbort):
     """A flow call used more reflection events than allowed."""
 
 
 # --- spectral ------------------------------------------------------------------
 
-class SpectralError(BilliardError):
-    """Base class for observable/quadrature problems."""
-
-
-class GridMismatch(SpectralError):
+class GridMismatch(ConfigError):
     """Two sampled observables live on different quadrature grids."""
 
 
-class UnalignedGrid(SpectralError):
+class UnalignedGrid(ConfigError):
     """Grid resolution is not a multiple of the tiling denominators."""
 
 
-class TooManySingular(SpectralError):
+class TooManySingular(NumericalAbort):
     """Dropped quadrature mass exceeded the allowed fraction."""
 
 
 # --- lab -----------------------------------------------------------------------
-
-class ConfigError(BilliardError, ValueError):
-    """Invalid input of any kind: a configuration, option, argument or file
-    field that violates an invariant.  It is also a ``ValueError``."""
-
 
 class CombinatoricsMismatch(ConfigError):
     """Two tables expected to share a combinatorics word do not."""

@@ -579,9 +579,10 @@ def lattice_fits(table: VHTable, p: int, q: int) -> bool:
 
 def tile_anchors(table: VHTable, cert: TilingCertificate) -> list[Point]:
     """Lower-left corners of the tiles covering the table, row-major order."""
-    (x0, y0), (x1, y1) = table.bbox
-    assert ((x1 - x0) * cert.p).denominator == 1
-    assert ((y1 - y0) * cert.q).denominator == 1
+    if not lattice_fits(table, cert.p, cert.q):
+        raise GeometryError(f"certificate lattice (1/{cert.p}, 1/{cert.q}) "
+                            "does not fit the table's vertices")
+    x0, y0 = table.bbox[0]
     rows, cols = np.nonzero(interior_cells(table, cert.p, cert.q).T)
     anchors = [(x0 + Fraction(i, cert.p), y0 + Fraction(j, cert.q))
                for j, i in zip(rows.tolist(), cols.tolist())]

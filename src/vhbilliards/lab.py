@@ -32,10 +32,8 @@ from . import __version__ as _version
 from .errors import (
     CombinatoricsMismatch,
     ConfigError,
-    EventBudgetExceeded,
     GeometryError,
-    SingularOrbit,
-    TooManySingular,
+    NumericalAbort,
     UnalignedGrid,
 )
 from .geometry import (
@@ -534,9 +532,9 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                 eta_emp, max_delta_at_eta = 0.0, math.nan
                 h = basis_function(j)
                 # the unperturbed series is shared by every rung; a table the
-                # perturbation breaks, a grid it unaligns or a flow it makes
-                # singular or too long ends the ladder at the last stable
-                # rung, and any other error is a bug and propagates
+                # perturbation breaks, a grid it unaligns or a computation
+                # it aborts ends the ladder at the last stable rung, and any
+                # other error is a bug and propagates
                 try:
                     series_a = correlation(snapped, PROBE_THETA, h, window_t,
                                            grid)
@@ -549,8 +547,7 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
                             max_delta_at_eta = rep.max_delta
                         else:
                             break
-                except (GeometryError, UnalignedGrid, SingularOrbit,
-                        EventBudgetExceeded, TooManySingular):
+                except (GeometryError, UnalignedGrid, NumericalAbort):
                     pass
 
                 rows.append(GDeltaRow(

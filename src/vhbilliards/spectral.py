@@ -305,7 +305,7 @@ def aligned_m(cert: TilingCertificate, target: int) -> int:
     return base * max(1, -(-target // base))
 
 
-@dataclass
+@dataclass(eq=False)
 class SampledObservable:
     """Observable known through its values at the points of one grid."""
 
@@ -394,6 +394,8 @@ class TileAverageObservable:
     """
 
     def __init__(self, h: Observable, table: VHTable, cert: TilingCertificate):
+        if not isinstance(h, Observable):
+            raise ConfigError(f"h must be an Observable, not {type(h).__name__}")
         self._h = h
         self._anchors = _anchor_coords(table, cert)
         self._x0, self._y0 = map(float, table.bbox[0])
@@ -715,6 +717,8 @@ def oscillation_bound_check(h: Observable, cert: TilingCertificate,
     """
     if eps <= 0:
         raise ConfigError("eps must be positive")
+    if not hasattr(h, "lipschitz"):
+        raise ConfigError(f"a {type(h).__name__} has no Lipschitz constant")
     lip = h.lipschitz(grid.width, grid.height)
     h_norm = norm(h, grid)
     if h_norm == 0.0:
@@ -781,8 +785,8 @@ def series_summary(series: CorrelationSeries, table: VHTable, h,
                    grid: QuadratureGrid) -> dict:
     from .geometry import table_to_dict
     if not isinstance(h, Observable):
-        raise TypeError(f"only an Observable has a descriptor, not a "
-                        f"{type(h).__name__}")
+        raise ConfigError(f"only an Observable has a descriptor, not a "
+                          f"{type(h).__name__}")
     return {
         "version": _version,
         "table": table_to_dict(table),

@@ -832,6 +832,15 @@ class TestFlowBatch:
         with pytest.raises(ConfigError, match="shapes"):
             FlowBatch(square, x, y, vx, vy)
 
+    @pytest.mark.parametrize("x, y, vx, vy", [
+        ([[1.5], [1.2, 1.3]], [1.5, 1.5], [0.6, 0.6], [0.8, 0.8]),
+        (["a"], [1.5], [0.6], [0.8]),
+    ], ids=["ragged", "text"])
+    def test_unconvertible_inputs_are_config_errors(self, square,
+                                                    x, y, vx, vy):
+        with pytest.raises(ConfigError, match="float arrays"):
+            FlowBatch(square, x, y, vx, vy)
+
     def test_inputs_are_copied(self, square):
         given = [np.array([1.3, 1.6]), np.array([1.2, 1.9]),
                  np.array([0.6, -0.6]), np.array([0.8, 0.8])]

@@ -22,6 +22,7 @@ from vhbilliards.errors import (
     ConfigError,
     DegenerateWord,
     EtaTooSmall,
+    GeometryError,
     HolePlacement,
     NoAlternation,
     NonPositiveLength,
@@ -31,6 +32,7 @@ from vhbilliards.errors import (
 from vhbilliards.geometry import (
     PointLocation,
     TABLE_ANCHOR,
+    TilingCertificate,
     _classify_exact,
     approximate_pq,
     build_polygon,
@@ -440,6 +442,12 @@ class TestTilingParameters:
             assert int(raster.sum()) == len(oracle) == cert.tile_count
             checked += 1
         assert checked >= 40
+
+    def test_certificate_off_the_table_lattice(self):
+        # a half-unit-wide rectangle is not tiled by unit cells
+        table = build_table(build_polygon("ENWS", ["1/2", 1, "1/2", 1]))
+        with pytest.raises(GeometryError, match="does not fit"):
+            tile_anchors(table, TilingCertificate(1, 1, 1))
 
     def test_anchors_cover_exactly(self, lshape_table):
         cert = tiling_parameters(lshape_table)

@@ -21,12 +21,14 @@ from vhbilliards.errors import (
     ConfigError,
     DegenerateDirection,
     EventBudgetExceeded,
+    GeometryError,
     GridMismatch,
     TooManySingular,
     UnalignedGrid,
 )
 from vhbilliards.geometry import (
     PointLocation,
+    TilingCertificate,
     approximate_pq,
     build_polygon,
     build_table,
@@ -279,6 +281,10 @@ class TestGrid:
                 correlation_chain_check(table, cert, 1.0, bad, 2.0,
                                         square_grid)
         assert counted_batches == []
+
+    def test_sampled_observables_compare_by_identity(self, square_grid):
+        a, b = chi(square_grid), chi(square_grid)
+        assert a == a and a != b
 
     def test_correlation_rejects_another_tables_grid(self, square_grid):
         h = Observable.cosine(1, 0)
@@ -898,6 +904,24 @@ class TestInputErrors:
             assert isinstance(err.value, ValueError)
         assert counted_batches == []
 
+    def test_observables_without_a_needed_capability(self, square_grid):
+        # only a trigonometric sum has a tile-average form, and only an
+        # observable with a Lipschitz constant has an oscillation bound
+        table = square_grid.table
+        cert = tiling_parameters(table).refined(4)
+        hd = TileAverageObservable(Observable.cosine(1, 0), table, cert)
+        for bad in (chi(square_grid), hd):
+            with pytest.raises(ConfigError, match=type(bad).__name__):
+                TileAverageObservable(bad, table, cert)
+            with pytest.raises(ConfigError, match="Lipschitz"):
+                oscillation_bound_check(bad, cert, square_grid, eps=0.1)
+
+    def test_certificate_off_the_table_lattice(self):
+        table = build_table(build_polygon("ENWS", ["1/2", 1, "1/2", 1]))
+        with pytest.raises(GeometryError, match="does not fit"):
+            TileAverageObservable(Observable.cosine(1, 0), table,
+                                  TilingCertificate(1, 1, 1))
+
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.3, 2.0,
                                        math.nan])
     def test_degenerate_direction_rejected_before_flowing(
@@ -1069,5 +1093,5 @@ class TestExports:
                                    tiling_parameters(table))
         for h, kind in ((hd, "TileAverageObservable"),
                         (chi(square_grid), "SampledObservable")):
-            with pytest.raises(TypeError, match=kind):
+            with pytest.raises(ConfigError, match=kind):
                 series_summary(s, unit_square(), h, square_grid)
