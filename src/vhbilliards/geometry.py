@@ -514,17 +514,19 @@ def contains_point(table: VHTable, point: tuple) -> PointLocation:
 def interior_cells(table: VHTable, p: int, q: int) -> np.ndarray:
     """Raster of the (1/p, 1/q) cells covering the bounding box, from its
     lower-left corner, whose centres are interior: ``out[i, j]`` is cell
-    column i, row j.
+    column i, row j, a C-ordered bool array of ceil'd width and height.
 
-    Each column reads its interior runs off one :func:`_crossings` call; a
-    centre on a side is a boundary point and stays out.
+    Under the half-open span rule the columns whose centres lie between two
+    consecutive vertical side lines cross the same horizontal sides, so
+    each such strip makes one :func:`_crossings` call and fills each
+    interior run once.  A centre on a side is a boundary point and stays
+    out; the column on a vertical side line is found by solving for it.
     """
     (x0, y0), (x1, y1) = table.bbox
     horizontal = [s for s in table.boundary.sides if s.axis]
     vertical = [s for s in table.boundary.sides if not s.axis]
     half = Fraction(1, 2)
 
-    @functools.cache  # columns between two vertex abscissae share their runs
     def rows(lo: Fraction, hi: Fraction, closed: bool) -> slice:
         # rows j whose centre y0 + (j + 1/2)/q lies in (lo, hi), or [lo, hi]
         a, b = (lo - y0) * q - half, (hi - y0) * q - half
@@ -534,14 +536,19 @@ def interior_cells(table: VHTable, p: int, q: int) -> np.ndarray:
 
     out = np.zeros((math.ceil((x1 - x0) * p), math.ceil((y1 - y0) * q)),
                    dtype=bool)
-    for i in range(out.shape[0]):
-        xc = x0 + Fraction(2 * i + 1, 2 * p)
-        heights = _crossings(xc, horizontal)
+    # the first centre x0 + (i + 1/2)/p at or right of a line c, in [0, width]
+    cuts = [math.ceil((c - x0) * p - half)
+            for c in sorted({s.line for s in vertical})]
+    for a, b in zip(cuts, cuts[1:] + [out.shape[0]]):
+        if a == b:
+            continue
+        heights = _crossings(x0 + Fraction(2 * a + 1, 2 * p), horizontal)
         for lo, hi in zip(heights[0::2], heights[1::2]):
-            out[i, rows(lo, hi, closed=False)] = True
-        for s in vertical:
-            if s.line == xc:
-                out[i, rows(s.lo, s.hi, closed=True)] = False
+            out[a:b, rows(lo, hi, closed=False)] = True
+    for s in vertical:
+        i = (s.line - x0) * p - half
+        if i.denominator == 1:
+            out[int(i), rows(s.lo, s.hi, closed=True)] = False
     return out
 
 
@@ -577,20 +584,27 @@ def lattice_fits(table: VHTable, p: int, q: int) -> bool:
                for x, y in table.boundary.vertices)
 
 
-def tile_anchors(table: VHTable, cert: TilingCertificate) -> list[Point]:
-    """Lower-left corners of the tiles covering the table, row-major order."""
+def check_certificate(table: VHTable, cert: TilingCertificate) -> None:
+    """Raise :class:`GeometryError` unless ``cert`` describes a tiling of
+    ``table``: its lattice fits every vertex and it counts the table's
+    ``area * p * q`` tiles.  Every reader of a certificate checks it here."""
     if not lattice_fits(table, cert.p, cert.q):
         raise GeometryError(f"certificate lattice (1/{cert.p}, 1/{cert.q}) "
                             "does not fit the table's vertices")
+    found = table.area * cert.p * cert.q
+    if cert.tile_count != found:
+        raise GeometryError(
+            f"certificate claims {cert.tile_count} tiles, found {found}; "
+            "table is not tiled by this lattice")
+
+
+def tile_anchors(table: VHTable, cert: TilingCertificate) -> list[Point]:
+    """Lower-left corners of the tiles covering the table, row-major order."""
+    check_certificate(table, cert)
     x0, y0 = table.bbox[0]
     rows, cols = np.nonzero(interior_cells(table, cert.p, cert.q).T)
-    anchors = [(x0 + Fraction(i, cert.p), y0 + Fraction(j, cert.q))
-               for j, i in zip(rows.tolist(), cols.tolist())]
-    if len(anchors) != cert.tile_count:
-        raise GeometryError(
-            f"certificate claims {cert.tile_count} tiles, found {len(anchors)}; "
-            "table is not tiled by this lattice")
-    return anchors
+    return [(x0 + Fraction(i, cert.p), y0 + Fraction(j, cert.q))
+            for j, i in zip(rows.tolist(), cols.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +739,13 @@ def check_config_keys(raw, required, allowed, what: str) -> None:
     missing = [k for k in required if k not in raw]
     if missing:
         raise ConfigError(f"missing {what} key(s): {', '.join(missing)}")
+
+
+def check_int(name: str, value) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is a Python or
+    numpy integer; a bool is an int, but in a config it is a typo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def table_from_dict(data: dict) -> VHTable:

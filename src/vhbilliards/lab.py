@@ -43,6 +43,7 @@ from .geometry import (
     build_polygon,
     build_table,
     check_config_keys,
+    check_int,
     parameter_distance,
     table_hash,
     table_to_dict,
@@ -95,7 +96,7 @@ class ExperimentConfig:
         _require(isinstance(self.out_dir, (str, os.PathLike, type(None))),
                  f"out_dir must be a path, got {self.out_dir!r}")
         for name in ("count", "seed", "n_gap", "grid_m", "workers"):
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         _check_real("tau", self.tau)
         if self.step is not None:
             _check_real("step", self.step)
@@ -103,7 +104,7 @@ class ExperimentConfig:
         _require(isinstance(self.h_indices, tuple),
                  "h_indices must be a list of integers")
         for j in self.h_indices:
-            _check_int("h_indices", j)
+            check_int("h_indices", j)
         _require(self.count > 0, "theta sample count must be positive")
         _require(self.seed >= 0, f"seed must be nonnegative, got {self.seed}")
         _require(self.n_gap > 0, "n_gap must be a positive integer")
@@ -146,12 +147,6 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def _check_int(name: str, value) -> None:
-    # bool is an int subclass, but true/false in a config is a typo
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 def _require(ok, message: str) -> None:
     if not ok:
         raise ConfigError(message)
@@ -162,7 +157,7 @@ def _int_list(name: str, values) -> list:
              f"{name} must be a list of integers, got {values!r}")
     values = list(values)
     for k, v in enumerate(values):
-        _check_int(f"{name}[{k}]", v)
+        check_int(f"{name}[{k}]", v)
     return values
 
 
@@ -480,7 +475,7 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
     for name, value, least in (("j_max", j_max, 1), ("grid_m", m, 1),
                                ("theta_count", theta_count, 1),
                                ("seed", seed, 0)):
-        _check_int(name, value)
+        check_int(name, value)
         _require(value >= least,
                  f"{name} must be at least {least}, got {value}")
     q_list, n_list = _int_list("q_list", q_list), _int_list("n_list", n_list)

@@ -37,6 +37,8 @@ from .errors import ConfigError, GridMismatch, TooManySingular, UnalignedGrid
 from .geometry import (
     TilingCertificate,
     VHTable,
+    check_certificate,
+    check_int,
     interior_cells,
     table_hash,
     tile_anchors,
@@ -228,24 +230,22 @@ class QuadratureGrid:
         congruence class, and one row per class listing its points in grid
         order, ``cert.tile_count`` of them.
 
-        Built and checked once per certificate: a grid not aligned for it,
-        or a class not holding one point per tile, raises
-        :class:`UnalignedGrid`.
+        Built and checked once per certificate: a wrong certificate raises
+        ``GeometryError`` from :func:`geometry.check_certificate`, as the
+        tile anchors do, and a grid not aligned for it UnalignedGrid.
         """
         kept = self._kept.get(cert)
         if kept is not None:
             return kept
+        check_certificate(self.table, cert)
         if self.m % cert.p or self.m % cert.q:
             raise UnalignedGrid(
                 f"grid m = {self.m} is not a multiple of p = {cert.p} "
                 f"and q = {cert.q}")
         mx = self.m // cert.p
         my = self.m // cert.q
+        # on an aligned grid each tile holds one point of every class
         cls = (self.ix % mx) * my + (self.iy % my)
-        if not np.all(np.bincount(cls, minlength=mx * my) == cert.tile_count):
-            raise UnalignedGrid(
-                "tile classes are not uniformly populated; the certificate "
-                "does not describe a tiling of this table")
         rows = np.argsort(cls, kind="stable").reshape(mx * my, -1)
         self._kept[cert] = (cls, rows)
         return cls, rows
@@ -284,18 +284,27 @@ def build_grid(table: VHTable, m: int) -> QuadratureGrid:
     also finds the tile anchors, so aligned grids have exactly
     ``area * m**2`` points.  When the bounding box is not commensurate with
     1/m the cover is rounded up, and a midpoint on the boundary is dropped.
+
+    Any m but an integer of at least 1 (a bool is not) raises ConfigError.
+    The points are in the raster's C order, by column then row: ``ix``/``iy``
+    C-contiguous int64 cell indices, ``xs``/``ys`` the C-contiguous float64
+    midpoints computed from them; none is copied once built.
     """
+    check_int("resolution m", m)
     if m < 1:
-        raise ConfigError("resolution m must be positive")
+        raise ConfigError(f"resolution m must be positive, got {m}")
+    m = int(m)
     (x0, y0), (x1, y1) = table.bbox
-    ix, iy = np.nonzero(interior_cells(table, m, m))
+    # one pass over the flat indices gives ix and iy C-contiguous, where
+    # np.nonzero would give strided views of one (N, 2) block to copy
+    raster = interior_cells(table, m, m)
+    ix, iy = np.divmod(np.flatnonzero(raster), raster.shape[1])
     if ix.size == 0:
         raise UnalignedGrid(f"resolution m = {m} leaves no interior midpoints")
-    xs = float(x0) + (ix + 0.5) / m
-    ys = float(y0) + (iy + 0.5) / m
     return QuadratureGrid(table=table, m=m,
-                          xs=xs.astype(np.float64), ys=ys.astype(np.float64),
-                          ix=ix.astype(np.int64), iy=iy.astype(np.int64),
+                          xs=float(x0) + (ix + 0.5) / m,
+                          ys=float(y0) + (iy + 0.5) / m,
+                          ix=ix, iy=iy,
                           width=float(x1 - x0), height=float(y1 - y0))
 
 

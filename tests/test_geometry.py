@@ -6,6 +6,7 @@ soundness, and a float ray-caster for containment.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -51,6 +52,7 @@ from vhbilliards.geometry import (
     unit_square,
 )
 from vhbilliards.lab import random_table
+from vhbilliards.spectral import build_grid
 
 from conftest import walked_loops
 
@@ -119,12 +121,13 @@ def float_distance(loops, px, py):
 
 
 def per_centre_anchors(table, p, q):
-    """Raster oracle: classify every (1/p, 1/q) cell centre on its own."""
+    """Raster oracle: classify every (1/p, 1/q) cell centre on its own, over
+    the cover of the bounding box rounded up to whole cells."""
     (x0, y0), (x1, y1) = table.bbox
     sides = table.boundary.sides
     anchors = []
-    for j in range(int((y1 - y0) * q)):
-        for i in range(int((x1 - x0) * p)):
+    for j in range(math.ceil((y1 - y0) * q)):
+        for i in range(math.ceil((x1 - x0) * p)):
             cx = x0 + Fraction(2 * i + 1, 2 * p)
             cy = y0 + Fraction(2 * j + 1, 2 * q)
             if _classify_exact((cx, cy), sides) is PointLocation.INTERIOR:
@@ -454,6 +457,68 @@ class TestTilingParameters:
         anchors = tile_anchors(lshape_table, cert)
         assert len(anchors) == cert.tile_count
         assert len(set(anchors)) == cert.tile_count
+
+
+def on_line_resolutions(offsets):
+    """Resolutions r whose cell centres (2k + 1)/(2r) hit one of the exact
+    ``offsets``: a/b in lowest terms with b even is hit at r = b/2."""
+    return sorted({d.denominator // 2 for d in offsets
+                   if d.denominator % 2 == 0})
+
+
+class TestInteriorCells:
+    """The strip raster of ``interior_cells`` against the per-centre oracle,
+    on random holed tables at lattice resolutions, at resolutions
+    incommensurate with the bounding box, and at resolutions that put cell
+    centres exactly on vertical side lines."""
+
+    @staticmethod
+    def cases(table, rng):
+        (x0, y0), (x1, y1) = table.bbox
+        cert = tiling_parameters(table)
+        sides = table.boundary.sides
+        on_x = on_line_resolutions({s.line - x0 for s in sides if not s.axis})
+        on_y = on_line_resolutions({s.line - y0 for s in sides if s.axis})
+        cases = {"lattice": (cert.p, cert.q),
+                 "incommensurate": tuple(int(v) for v in
+                                         rng.choice((3, 7, 9, 11), size=2))}
+        if on_x:
+            cases["on vertical line"] = (on_x[0], on_y[0] if on_y else 3)
+        return {kind: (p, q) for kind, (p, q) in cases.items()
+                if (x1 - x0) * p * (y1 - y0) * q <= 600}
+
+    def test_raster_matches_per_centre_oracle(self):
+        rng = np.random.default_rng(2023)
+        seen = {"lattice": 0, "incommensurate": 0, "on vertical line": 0}
+        unaligned = 0
+        for _ in range(60):
+            table = random_table(rng, hole_probability=0.6)
+            (x0, y0), (x1, y1) = table.bbox
+            for kind, (p, q) in self.cases(table, rng).items():
+                raster = interior_cells(table, p, q)
+                assert raster.shape == (math.ceil((x1 - x0) * p),
+                                        math.ceil((y1 - y0) * q))
+                rows, cols = np.nonzero(raster.T)
+                found = [(x0 + Fraction(i, p), y0 + Fraction(j, q))
+                         for j, i in zip(rows.tolist(), cols.tolist())]
+                assert found == per_centre_anchors(table, p, q), (kind, p, q)
+                seen[kind] += 1
+                unaligned += ((x1 - x0) * p).denominator > 1
+        assert min(seen.values()) >= 25, seen
+        assert unaligned >= 20
+
+    def test_one_crossing_pass_per_strip(self, holed_table, monkeypatch):
+        calls = []
+        crossings = geometry._crossings
+
+        def counted(x, sides):
+            calls.append(x)
+            return crossings(x, sides)
+
+        monkeypatch.setattr(geometry, "_crossings", counted)
+        build_grid(holed_table, 256)
+        lines = {s.line for s in holed_table.boundary.sides if not s.axis}
+        assert 0 < len(calls) <= len(lines) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,24 @@ class TestGrid:
                        y0 + Fraction(2 * j + 1, 2 * m))
                 assert contains_point(table, mid) is PointLocation.INTERIOR
 
+    def test_array_layout(self, holed_table):
+        # the four point arrays are C-contiguous and own their data
+        grid = build_grid(holed_table, 16)
+        for arrays, dtype in (((grid.xs, grid.ys), np.float64),
+                              ((grid.ix, grid.iy), np.int64)):
+            for a in arrays:
+                assert a.dtype == dtype
+                assert a.flags.c_contiguous and a.flags.owndata
+
+    def test_resolution_must_be_a_positive_integer(self, holed_table):
+        for bad in (2.5, float("nan"), True, "8", 0):
+            with pytest.raises(ConfigError, match="resolution m") as err:
+                build_grid(holed_table, bad)
+            assert repr(bad) in str(err.value)
+        grid = build_grid(holed_table, np.int64(8))
+        assert type(grid.m) is int
+        assert np.array_equal(grid.xs, build_grid(holed_table, 8).xs)
+
     def test_aligned_m_helper(self):
         cert = tiling_parameters(build_table(build_polygon("ENWS", ["3/2"] * 4)))
         assert aligned_m(cert, 50) % cert.p == 0
@@ -390,9 +408,29 @@ class TestTileAverage:
         assert oscillation_bound_check(h, cert, kept, eps=50.0).hypothesis_met
         for call in calls:
             for grid in (build_grid(lshape5, 20), kept):
-                with pytest.raises(UnalignedGrid, match="not uniformly"):
+                with pytest.raises(GeometryError,
+                                   match="claims 76 tiles, found 75"):
                     call(grid)
         assert counted_batches == []
+
+    def test_wrong_certificate_one_error_on_both_paths(self, lshape5):
+        # the analytic and the sampled projector read a certificate through
+        # one check: a wrong tile count and an off-lattice certificate each
+        # raise one class with one message on either path
+        half = build_table(build_polygon("ENWS", ["1/2", 1, "1/2", 1]))
+        cert = lshape5.certificate
+        cases = [(lshape5, replace(cert, tile_count=cert.tile_count + 1), 20),
+                 (half, TilingCertificate(1, 1, 1), 2)]
+        h = basis_function(2)
+        for table, wrong, m in cases:
+            grid = build_grid(table, m)
+            raised = []
+            for call in (lambda: TileAverageObservable(h, table, wrong),
+                         lambda: tile_average(h, wrong, grid)):
+                with pytest.raises(GeometryError) as err:
+                    call()
+                raised.append((type(err.value), str(err.value)))
+            assert raised[0] == raised[1]
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @example(seed=3335828575)  # one class of 268,668 points
