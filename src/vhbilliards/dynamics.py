@@ -63,7 +63,7 @@ from .errors import (
     SingularOrbit,
     StalledState,
 )
-from .geometry import VHTable
+from .geometry import VHTable, check_int
 
 #: vertex-proximity tolerance (table units)
 EPS_CORNER = 1e-12
@@ -339,6 +339,7 @@ def orbit(table: VHTable, state: PhasePoint,
 
 def _advance(sides: SideTable, state: PhasePoint, t: float,
              max_events: int, record: OrbitSegmentList | None) -> PhasePoint:
+    check_int("max_events", max_events)
     if max_events < 0:
         raise ConfigError(f"event budget must be nonnegative, got {max_events}")
     x, y = state.x, state.y
@@ -431,9 +432,9 @@ class FlowBatch:
     All operations are elementwise or per-point reductions, so results are
     bitwise independent of how points are grouped into batches or blocks.
 
-    It copies ``x``, ``y``, ``vx`` and ``vy`` (1-D, of one length) and takes
-    82 bytes per point; its eight float64 rows are one ``(8, n)`` block,
-    which numpy backs with huge pages from 65,536 points (4 MiB) on.
+    It copies ``x``, ``y``, ``vx`` and ``vy`` (one shape, at least 1-D) in C
+    order into 1-D rows and takes 82 bytes per point; its eight float64 rows
+    are one ``(8, n)`` block, in huge pages from 65,536 points (4 MiB) on.
 
     The kernel works on blocks of ``_BLOCK_POINTS`` points.  Its
     temporaries live in buffers of one block, allocated with the batch and
@@ -465,15 +466,15 @@ class FlowBatch:
         except ValueError as exc:
             raise ConfigError(f"x, y, vx and vy must convert to float "
                               f"arrays: {exc}") from exc
-        if given[0].ndim != 1 or len({a.shape for a in given}) != 1:
-            raise ConfigError("x, y, vx and vy must be 1-D and of one length, "
-                              f"got shapes {[a.shape for a in given]}")
+        if given[0].ndim == 0 or len({a.shape for a in given}) != 1:
+            raise ConfigError("x, y, vx and vy must be of one shape, at least "
+                              f"1-D, got shapes {[a.shape for a in given]}")
         n = given[0].size
         rows = np.empty((8, n))
         self.x, self.y, self.vx, self.vy, self.t, self.next_t = rows[:6]
         self._at_target = tuple(rows[6:])
         for row, a in zip(rows, given + [0.0]):  # t starts at 0
-            row[...] = a
+            row.reshape(given[0].shape)[...] = a
         self.singular = np.zeros(n, dtype=bool)
         self._due = np.empty(n, dtype=bool)
         self.events = np.zeros(n, dtype=np.int64)

@@ -671,6 +671,7 @@ def approximate_pq(table: VHTable, q_min: int, eta) -> VHTable:
     class sums are repaired deterministically, and the result must stay
     within ``eta`` (sup-norm over lengths and anchors) of the input.
     """
+    check_int("q_min", q_min)
     if q_min < 1:
         raise ConfigError("q_min must be a positive integer")
     eta = _to_fraction(eta)

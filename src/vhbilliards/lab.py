@@ -39,6 +39,7 @@ from .errors import (
 from .geometry import (
     CombinatoricsWord,
     VHTable,
+    _to_fraction,
     approximate_pq,
     build_polygon,
     build_table,
@@ -483,7 +484,12 @@ def gdelta_demo(word, area_band, q_list, j_max: int, n_list, m: int, *,
     _require(q_list[0] >= 1 and all(a < b for a, b in zip(q_list, q_list[1:])),
              "q_list must be positive and strictly increasing")
     _require(n_list, "n_list must be nonempty")
-    lo, hi = (Fraction(area_band[0]), Fraction(area_band[1]))
+    try:  # not iterable, not two entries, or an entry not exact
+        lo, hi = map(_to_fraction, () if isinstance(area_band, str)
+                     else area_band)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"area_band must be two exact rationals, "
+                          f"got {area_band!r}") from exc
 
     rng = np.random.default_rng(seed)
     rows: list[GDeltaRow] = []

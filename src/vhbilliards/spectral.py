@@ -453,13 +453,25 @@ class CorrelationSeries:
 
 def _direction_batch(grid: QuadratureGrid, thetas: Sequence[float]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """FlowBatch inputs ``(x, y, vx, vy)``: the grid points on each theta's
-    four labels, in the order of ``DirectionState.direction_class``."""
-    ux, uy = zip(*(d.velocity for th in thetas
-                   for d in DirectionState(th).direction_class()))
-    k = len(ux)
-    return (np.tile(grid.xs, k), np.tile(grid.ys, k),
-            np.repeat(ux, grid.npts), np.repeat(uy, grid.npts))
+    """FlowBatch inputs ``(x, y, vx, vy)`` as broadcast views of the grid's
+    points and each label's velocity, one row per label of each theta, in
+    the order of ``DirectionState.direction_class``."""
+    v = np.array([d.velocity for th in thetas
+                  for d in DirectionState(th).direction_class()])
+    return tuple(np.broadcast_to(a, (v.shape[0], grid.npts))
+                 for a in (grid.xs, grid.ys, v[:, :1], v[:, 1:]))
+
+
+def _live_mass(singular: np.ndarray, directions: int) -> tuple:
+    """``(alive, counts, dropped)`` per direction of a batch's ``singular``
+    mask; a dropped fraction past ``MAX_DROPPED_FRACTION`` aborts."""
+    alive = ~singular
+    counts = alive.reshape(directions, -1).sum(axis=1)
+    dropped = 1.0 - counts / (alive.size // directions)
+    if np.any(dropped > MAX_DROPPED_FRACTION):
+        raise TooManySingular(f"dropped quadrature mass {dropped.max():.2e} "
+                              f"exceeds {MAX_DROPPED_FRACTION:.0e}")
+    return alive, counts, dropped
 
 
 def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
@@ -502,23 +514,17 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
     block = 4 * npts
     chunk = max(1, BATCH_POINT_LIMIT // block)
     c_out = np.empty((len(hs), thetas.size, t_grid.size))
-    dropped = np.empty(thetas.size)
+    dropped = np.zeros(thetas.size)  # each direction's latest dropped mass
     for start in range(0, thetas.size, chunk):
         sel = thetas[start:start + chunk]
         nb = sel.size
         batch = FlowBatch(grid.table, *_direction_batch(grid, sel))
-        frac = np.zeros(nb)
         for k, t_k in enumerate(t_grid):
             x, y = batch.advance_to(float(t_k))
             alive, counts = None, block  # all weights 1 while none is frozen
             if batch.singular.any():
-                alive = ~batch.singular
-                counts = alive.reshape(nb, block).sum(axis=1)
-                frac = 1.0 - counts / block
-                if np.any(frac > MAX_DROPPED_FRACTION):
-                    raise TooManySingular(
-                        f"dropped quadrature mass {frac.max():.2e} exceeds "
-                        f"{MAX_DROPPED_FRACTION:.0e}")
+                alive, counts, dropped[start:start + nb] = _live_mass(
+                    batch.singular, nb)
             for j, (h, h0) in enumerate(zip(hs, h0s)):
                 # in place, as (h o flow) * h0 * alive; one row per
                 # (direction, label), so h0 broadcasts along the rows
@@ -529,7 +535,6 @@ def sweep_correlations(grid: QuadratureGrid, thetas: Sequence[float], hs,
                     vals *= alive
                 sums = vals.reshape(nb, block).sum(axis=1)
                 c_out[j, start:start + nb, k] = sums / counts
-        dropped[start:start + nb] = frac
     return c_out, dropped, h0s
 
 
@@ -652,12 +657,7 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
 
     n = grid.npts
     x, y, singular = grid._flowed(theta, t)
-    alive = ~singular
-    count = int(alive.sum())
-    dropped_fraction = 1.0 - count / (4 * n)
-    if dropped_fraction > MAX_DROPPED_FRACTION:
-        raise TooManySingular(
-            f"dropped fraction {dropped_fraction:.2e} too large")
+    alive, (count,), (dropped,) = _live_mass(singular, 1)
 
     f_h = h.evaluate(x, y, grid.width, grid.height)
     f_hd = hd_fn.evaluate(x, y, grid.width, grid.height)
@@ -699,7 +699,7 @@ def correlation_chain_check(table: VHTable, cert: TilingCertificate,
         invariant_rhs=invariant_rhs,
         invariant_slack=invariant_rhs - lhs,
         unitarity_defect=abs(flowed_norm_sq - unflowed_norm_sq),
-        dropped_fraction=dropped_fraction,
+        dropped_fraction=float(dropped),
     )
 
 

@@ -823,9 +823,59 @@ class TestFlowBatch:
             assert abs(p.x - bx[i]) < 1e-10
             assert abs(p.y - by[i]) < 1e-10
 
+    # a bound in ulps of the table's largest coordinate per event: each
+    # event re-projects one coordinate onto its side, and each flight adds
+    # rounding to the other (at most 1.2 over 3200 starts to t = 40)
+    ULPS_PER_EVENT = 4
+
+    def test_matches_scalar_flow_on_random_tables(self):
+        eps = np.finfo(np.float64).eps
+        compared = 0
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            table = random_table(rng, hole_probability=0.6)
+            (x0, y0), (x1, y1) = (map(float, c) for c in table.bbox)
+            scale = max(abs(x0), abs(y0), abs(x1), abs(y1))
+            starts = []
+            while len(starts) < 8:
+                x, y = rng.uniform(x0, x1), rng.uniform(y0, y1)
+                if contains_point(table, (x, y)) is PointLocation.INTERIOR:
+                    d = DirectionState(float(rng.uniform(0.05, 1.52)),
+                                       *rng.choice([-1, 1], size=2).tolist())
+                    starts.append(PhasePoint(x, y, d))
+            batch = FlowBatch(table, *map(np.array, zip(
+                *((p.x, p.y, *p.direction.velocity) for p in starts))))
+            bx, by = batch.advance_to(12.0)
+            for i, start in enumerate(starts):
+                try:
+                    p = flow(table, start, 12.0)
+                except SingularOrbit:
+                    continue
+                if batch.singular[i]:
+                    continue
+                bound = self.ULPS_PER_EVENT * eps * scale * (
+                    batch.events[i] + 1)
+                assert abs(p.x - bx[i]) <= bound, (seed, i)
+                assert abs(p.y - by[i]) <= bound, (seed, i)
+                compared += 1
+        assert compared >= 100
+
+    def test_equal_2d_shapes_flatten_in_c_order(self, square):
+        x = np.array([[1.3, 1.6, 1.2], [1.7, 1.4, 1.5]])
+        y = np.full((2, 3), 1.5)
+        vx = np.repeat([[0.6], [-0.8]], 3, axis=1)
+        vy = np.repeat([[0.8], [0.6]], 3, axis=1)
+        batch = FlowBatch(square, x, y, vx, vy)
+        flat = FlowBatch(square, *(a.ravel() for a in (x, y, vx, vy)))
+        assert np.array_equal(batch.x, x.ravel())
+        for t in (0.5, 3.0):
+            got, want = batch.advance_to(t), flat.advance_to(t)
+            assert all(g.ndim == 1 and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want))
+
     @pytest.mark.parametrize("x, y, vx, vy", [
         ([1.5, 1.2], [1.5], [0.6, 0.6], [0.8, 0.8]),
-        ([[1.5, 1.2]], [[1.5, 1.2]], [[0.6, 0.6]], [[0.8, 0.8]]),
+        ([[1.5, 1.2]], [[1.5], [1.2]], [[0.6, 0.6]], [[0.8, 0.8]]),
         (1.5, 1.5, 0.6, 0.8),
     ], ids=["lengths", "2-d", "0-d"])
     def test_inputs_must_be_1d_of_one_length(self, square, x, y, vx, vy):

@@ -12,8 +12,14 @@ import pytest
 import vhbilliards.cli as cli
 import vhbilliards.lab as lab
 from vhbilliards import errors
+from vhbilliards.dynamics import DirectionState, PhasePoint, orbit
 from vhbilliards.errors import BilliardError, ConfigError, NumericalAbort
-from vhbilliards.geometry import save_table, unit_square
+from vhbilliards.geometry import (
+    approximate_pq,
+    lshape,
+    save_table,
+    unit_square,
+)
 
 ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
           if issubclass(cls, BilliardError) and cls is not BilliardError]
@@ -61,6 +67,33 @@ def test_cli_exit_code_is_the_kind(cls, square_file, monkeypatch, capsys):
     assert (code == 2) == issubclass(cls, NumericalAbort)
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": cls.__name__, "message": "planted"}
+
+
+def _gdelta(area_band):
+    return lab.gdelta_demo("ENWS", area_band, q_list=[2], j_max=1,
+                           n_list=[2], m=4)
+
+
+def _orbit(max_events):
+    start = PhasePoint(1.5, 1.25, DirectionState(0.7))
+    return orbit(unit_square(), start, 5.0, max_events=max_events)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: approximate_pq(lshape(), 2.5, 1), "q_min"),
+    (lambda: approximate_pq(lshape(), True, 1), "q_min"),
+    (lambda: _gdelta(("x", 2)), "area_band"),
+    (lambda: _gdelta((math.nan, 2)), "area_band"),
+    (lambda: _gdelta((Fraction(1, 2),)), "area_band"),
+    (lambda: _gdelta("12"), "area_band"),
+    (lambda: _gdelta(3), "area_band"),
+    (lambda: _orbit(2.5), "max_events"),
+    (lambda: _orbit(True), "max_events"),
+], ids=["q_min-float", "q_min-bool", "band-text", "band-nan", "band-one",
+        "band-str", "band-scalar", "budget-float", "budget-bool"])
+def test_entry_points_type_their_inputs(call, name):
+    with pytest.raises(ConfigError, match=name):
+        call()
 
 
 def test_gdelta_ladder_ends_on_any_abort(monkeypatch):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from vhbilliards import dynamics
 from vhbilliards.dynamics import (
     EPS_CORNER,
+    DirectionState,
     FlowBatch,
     sides_of,
 )
@@ -138,9 +139,10 @@ class AllSidesBatch:
 
 def random_case(seed, thetas, m=6):
     """A seeded random table (holes likely) and its grid on the four labels
-    of each direction."""
+    of each direction, as 1-D inputs, which the oracle takes."""
     table = random_table(np.random.default_rng(seed), hole_probability=0.6)
-    return table, _direction_batch(build_grid(table, m), thetas)
+    return table, [a.ravel()
+                   for a in _direction_batch(build_grid(table, m), thetas)]
 
 
 def flowed_states(table, inputs, times=TIMES):
@@ -255,6 +257,49 @@ class TestKernelMemory:
         bound = (self.BLOCK_POINT_BYTES * dynamics._BLOCK_POINTS
                  + self.POINT_BYTES * n)
         assert extra <= bound, (extra, bound, n)
+
+
+class TestGridBatch:
+    """A grid batch is built from broadcast views of the grid, so the
+    batch's own block is its only full-size copy of the inputs."""
+
+    def test_construction_peak_is_the_kept_batch(self, square):
+        # 65,536 points: four tiled inputs would peak 2 MiB above the batch
+        grid = build_grid(square, 128)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch = FlowBatch(square, *_direction_batch(grid, [0.7]))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.x.size == 4 * grid.npts
+        assert kept - base >= 82 * batch.x.size
+        assert peak - kept <= 64 * 1024, (peak - kept, kept - base)
+
+    def test_inputs_are_views_of_the_grid(self, holed_table):
+        grid = build_grid(holed_table, 8)
+        x, y, vx, vy = _direction_batch(grid, [0.3, 1.1])
+        assert all(a.shape == (8, grid.npts) for a in (x, y, vx, vy))
+        assert np.shares_memory(x, grid.xs) and np.shares_memory(y, grid.ys)
+
+    def test_views_flow_as_tiled_copies(self, holed_table):
+        grid = build_grid(holed_table, 12)
+        thetas = [0.3, 1.1]
+        labels = [d.velocity for th in thetas
+                  for d in DirectionState(th).direction_class()]
+        ux, uy = zip(*labels)
+        tiled = (np.tile(grid.xs, len(labels)), np.tile(grid.ys, len(labels)),
+                 np.repeat(ux, grid.npts), np.repeat(uy, grid.npts))
+        got = FlowBatch(holed_table, *_direction_batch(grid, thetas))
+        want = FlowBatch(holed_table, *tiled)
+        for t in (0.5, 3.0, 11.0):
+            got_at, want_at = got.advance_to(t), want.advance_to(t)
+            for g, w in zip(got_at, want_at):
+                assert g.tobytes() == w.tobytes()
+            for k in STATE:
+                assert getattr(got, k).tobytes() == \
+                    getattr(want, k).tobytes(), k
 
 
 targets = st.lists(st.one_of(st.floats(min_value=0.0, max_value=25.0),

@@ -540,6 +540,21 @@ class TestCorrelation:
             correlation(table, math.pi / 4, Observable.cosine(1, 0),
                         np.array([3.0]), grid=grid)
 
+    def test_sweep_and_chain_check_drop_mass_alike(self):
+        # the same flow trips one dropped-mass rule, with one message
+        table, cert = lshape(), tiling_parameters(lshape())
+        grid = build_grid(table, 2)
+        h = Observable.cosine(1, 0)
+        # a report keeps a Python float, so its repr is unchanged
+        start = correlation_chain_check(table, cert, math.pi / 4, h, 0.0, grid)
+        assert type(start.dropped_fraction) is float
+        with pytest.raises(TooManySingular) as swept:
+            sweep_correlations(grid, [math.pi / 4], [h], [3.0])
+        with pytest.raises(TooManySingular) as checked:
+            correlation_chain_check(table, cert, math.pi / 4, h, 3.0, grid)
+        assert str(swept.value) == str(checked.value)
+        assert str(swept.value).startswith("dropped quadrature mass")
+
     def test_event_budget(self, square_grid, monkeypatch):
         # the sweep's batches read dynamics.MAX_EVENTS at call time
         import vhbilliards.dynamics as dynamics
